@@ -11,8 +11,7 @@ import yaml
 
 from .errors import (EvogenError, InvalidInitialSystem, LedgerIoError,
                      ReplayDivergence, SnapshotIoError)
-from .history import validate_history
-from .history import replay as replay_ledger
+from .history import replay_history, validate_history
 from .minilang import MinilangAdapter
 from .runner import PRESET_NAMES, RunConfig, preset, run
 from .stats import compute_metrics, rows_to_csv, rows_to_long
@@ -115,14 +114,13 @@ def validate(out_dir):
 @click.argument("out_dir", type=click.Path(exists=True))
 def replay(out_dir):
     """Re-execute the ledger from revision 0 and report the final state."""
-    out = Path(out_dir)
     try:
-        tree = replay_ledger(out / "revisions" / "0000", out / "ledger.ndjson",
-                             MinilangAdapter())
+        for revision, tree in replay_history(Path(out_dir), MinilangAdapter()):
+            pass
     except ReplayDivergence as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
-    click.echo(f"replayed to revision {tree.revision} "
+    click.echo(f"replayed to revision {revision} "
                f"({len(tree.repositories)} repositories)")
 
 

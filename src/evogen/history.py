@@ -21,22 +21,17 @@ import json
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import model
 from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
                      SnapshotIoError)
-from .model import (AssetNode, AssetTree, FILE, FOLDER, Feature, FeatureModel,
-                    REPOSITORY, _feature_to_dict)
+from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
+                    FeatureModel, REPOSITORY, _feature_to_dict)
 from .operations import execute
 from .refs import AssetRef, FeatureRef, make_asset_ref, resolve_asset_ref, resolve_feature_ref
 
 SCHEMA_VERSION = 1
-
-
-def _write_text(path: Path, lines: list[str]) -> None:
-    data = "\n".join(lines) + "\n" if lines else ""
-    path.write_text(data, encoding="utf-8", newline="\n")
 
 
 # -- parsing codebases from disk ---------------------------------------------
@@ -82,20 +77,38 @@ def parse_snapshot(path: Path) -> AssetTree:
 
 # -- snapshot writing --------------------------------------------------------
 
+def _file_bytes(node: AssetNode) -> bytes:
+    """Snapshot bytes of a file node: UTF-8 lines, each ending in LF."""
+    lines = model.flatten_lines(node)
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+
+def _fs_nodes(tree: AssetTree) -> Iterator[tuple[str, AssetNode]]:
+    """(relative path, node) of every repository, folder and file, parents
+    before children."""
+    def walk(node: AssetNode, rel: str):
+        yield rel, node
+        if node.kind != FILE:
+            for child in node.children:
+                yield from walk(child, f"{rel}/{child.name}")
+    for repo in tree.repositories:
+        yield from walk(repo, repo.name)
+
+
+def _tree_files(tree: AssetTree) -> dict[str, bytes]:
+    """In-memory render of a snapshot: relative path -> file bytes."""
+    return {rel: _file_bytes(node) for rel, node in _fs_nodes(tree)
+            if node.kind == FILE}
+
+
 def materialize_tree(tree: AssetTree, dest: Path) -> None:
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    for repo in tree.repositories:
-        _materialize_node(repo, dest / repo.name)
-
-
-def _materialize_node(node: AssetNode, dest: Path) -> None:
-    if node.kind == FILE:
-        _write_text(dest, model.flatten_lines(node))
-        return
-    dest.mkdir(parents=True, exist_ok=True)
-    for child in node.children:
-        _materialize_node(child, dest / child.name)
+    for rel, node in _fs_nodes(tree):
+        if node.kind == FILE:
+            (dest / rel).write_bytes(_file_bytes(node))
+        else:
+            (dest / rel).mkdir(parents=True, exist_ok=True)
 
 
 def write_snapshot(tree: AssetTree, revision: int, out_dir: Path) -> Path:
@@ -125,16 +138,18 @@ def append_ledger(record_dict: dict, out_dir: Path) -> None:
         raise LedgerIoError(str(exc)) from exc
 
 
+def _trace_line(trace: CloneTrace) -> dict:
+    return {"schema": SCHEMA_VERSION, "op": trace.op_id,
+            "source": trace.source_ref, "target": trace.target_ref,
+            "source_node": trace.source_node, "target_node": trace.target_node}
+
+
 def append_traces(traces: list, out_dir: Path) -> None:
     try:
         with open(Path(out_dir) / "traces.ndjson", "a", encoding="utf-8",
                   newline="\n") as fh:
             for t in traces:
-                fh.write(_dump({
-                    "schema": SCHEMA_VERSION, "op": t.op_id,
-                    "source": t.source_ref, "target": t.target_ref,
-                    "source_node": t.source_node, "target_node": t.target_node,
-                }) + "\n")
+                fh.write(_dump(_trace_line(t)) + "\n")
     except OSError as exc:
         raise LedgerIoError(str(exc)) from exc
 
@@ -198,23 +213,6 @@ def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
         yield tree.revision, tree
 
 
-def replay(revision0_dir: Path, ledger_path: Path, adapter) -> AssetTree:
-    """Final tree after applying the full ledger to the initial snapshot."""
-    tree = parse_snapshot(Path(revision0_dir))
-    for i, line in enumerate(Path(ledger_path).read_text(encoding="utf-8").splitlines()):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReplayDivergence(i, f"malformed ledger line: {exc}") from exc
-        try:
-            execute(tree, record["kind"], record["params"], record["op_id"],
-                    adapter=adapter)
-        except EvogenError as exc:
-            raise ReplayDivergence(i, f"{type(exc).__name__}: {exc}") from exc
-        tree.revision += 1
-    return tree
-
-
 # -- validation --------------------------------------------------------------
 
 @dataclass
@@ -249,9 +247,35 @@ def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
         yield from _ref_fields(sub)
 
 
-def validate_history(out_dir: Path, adapter, checker=None) -> ValidationReport:
+def _ref_checks(records: list[dict], trace_lines: list[dict]
+                ) -> dict[int, list[tuple]]:
+    """Every ref the traces and the ledger name, keyed by the revision it must
+    resolve at, as (resolver, ref, where, message) in report order."""
+    checks: dict[int, list[tuple]] = {}
+    for line in trace_lines:
+        for key in ("source", "target"):
+            ref = AssetRef.from_text(line[key])
+            checks.setdefault(ref.revision, []).append(
+                (resolve_asset_ref, ref, line["op"],
+                 f"trace {key} {line[key]} does not resolve"))
+    for record in records:
+        for key, text in _ref_fields(record):
+            if "!" not in text:
+                ref = AssetRef.from_text(text)
+                revision, resolve = ref.revision, resolve_asset_ref
+            elif record["kind"] == "RemoveFeature" or key == "feature":
+                continue  # feature may be gone after its own removal
+            else:
+                ref = FeatureRef.from_text(text)
+                revision, resolve = record["revision_before"], resolve_feature_ref
+            checks.setdefault(revision, []).append(
+                (resolve, ref, record["op_id"], f"{key} {text} does not resolve"))
+    return checks
+
+
+def validate_history(out_dir: Path, adapter) -> ValidationReport:
     """Cross-check replay fidelity, ref resolvability, compilability and
-    trace/mapping consistency of a generated history."""
+    trace/mapping consistency of a generated history in one replay pass."""
     from .minilang import check_snapshot_dir
     out_dir = Path(out_dir)
     report = ValidationReport()
@@ -259,8 +283,6 @@ def validate_history(out_dir: Path, adapter, checker=None) -> ValidationReport:
     if not revisions_dir.is_dir():
         report.add("layout", str(out_dir), "missing revisions directory")
         return report
-    if checker is None:
-        checker = lambda p: check_snapshot_dir(p, adapter)
 
     snapshots = sorted(p for p in revisions_dir.iterdir() if p.is_dir())
     expected = [f"{i:04d}" for i in range(len(snapshots))]
@@ -282,25 +304,27 @@ def validate_history(out_dir: Path, adapter, checker=None) -> ValidationReport:
             report.add("ledger", "run.json",
                        f"ledger has {len(records)} records, run.json says {committed}")
 
-    trees: dict[int, AssetTree] = {}
-    import tempfile
+    traces_path = out_dir / "traces.ndjson"
+    stored_traces = ([json.loads(l) for l in
+                      traces_path.read_text(encoding="utf-8").splitlines()]
+                     if traces_path.is_file() else [])
+    checks = _ref_checks(records, stored_traces)
+
     try:
         for revision, tree in replay_history(out_dir, adapter):
-            trees[revision] = tree.clone()
+            for resolve, ref, where, message in checks.pop(revision, ()):
+                try:
+                    resolve(tree, ref)
+                except EvogenError:
+                    report.add("ref-resolution", where, message)
             snap = revisions_dir / f"{revision:04d}"
             if not snap.is_dir():
                 report.add("replay", snap.name, "snapshot missing")
                 continue
-            tmp = Path(tempfile.mkdtemp(prefix="evogen-val-"))
-            try:
-                materialize_tree(tree, tmp)
-                if _dir_files(tmp) != _dir_files(snap):
-                    report.add("replay-fidelity", snap.name,
-                               "replayed state differs from stored snapshot")
-            finally:
-                shutil.rmtree(tmp, ignore_errors=True)
-            problems = checker(snap)
-            for problem in problems:
+            if _tree_files(tree) != _dir_files(snap):
+                report.add("replay-fidelity", snap.name,
+                           "replayed state differs from stored snapshot")
+            for problem in check_snapshot_dir(snap, adapter):
                 report.add("compilability", snap.name, problem)
             state_path = out_dir / "features" / f"{revision:04d}.json"
             if not state_path.is_file():
@@ -314,52 +338,8 @@ def validate_history(out_dir: Path, adapter, checker=None) -> ValidationReport:
         report.add("replay", "ledger.ndjson", str(exc))
         return report
 
-    final = trees[max(trees)] if trees else None
-    if final is not None:
-        stored_traces = []
-        traces_path = out_dir / "traces.ndjson"
-        if traces_path.is_file():
-            stored_traces = [json.loads(l) for l in
-                             traces_path.read_text(encoding="utf-8").splitlines()]
-        replayed = [{"schema": SCHEMA_VERSION, "op": t.op_id, "source": t.source_ref,
-                     "target": t.target_ref, "source_node": t.source_node,
-                     "target_node": t.target_node} for t in final.traces.traces]
-        if stored_traces != replayed:
-            report.add("trace-consistency", "traces.ndjson",
-                       f"stored {len(stored_traces)} traces, replay yields {len(replayed)}")
-        for line in stored_traces:
-            for key in ("source", "target"):
-                ref = AssetRef.from_text(line[key])
-                tree = trees.get(ref.revision)
-                if tree is None:
-                    continue
-                try:
-                    resolve_asset_ref(tree, ref)
-                except EvogenError:
-                    report.add("ref-resolution", line["op"],
-                               f"trace {key} {line[key]} does not resolve")
-
-    for record in records:
-        for key, text in _ref_fields(record):
-            if "!" in text:
-                tree = trees.get(record["revision_before"])
-                if tree is None:
-                    continue
-                try:
-                    resolve_feature_ref(tree, FeatureRef.from_text(text))
-                except EvogenError:
-                    if record["kind"] in ("RemoveFeature",) or key == "feature":
-                        continue  # feature may be gone after its own removal
-                    report.add("ref-resolution", record["op_id"],
-                               f"{key} {text} does not resolve")
-            else:
-                ref = AssetRef.from_text(text)
-                tree = trees.get(ref.revision)
-                if tree is None:
-                    continue
-                try:
-                    resolve_asset_ref(tree, ref)
-                except EvogenError:
-                    report.add("ref-resolution", record["op_id"],
-                               f"{key} {text} does not resolve")
+    replayed = [_trace_line(t) for t in tree.traces.traces]
+    if stored_traces != replayed:
+        report.add("trace-consistency", "traces.ndjson",
+                   f"stored {len(stored_traces)} traces, replay yields {len(replayed)}")
     return report

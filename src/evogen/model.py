@@ -114,9 +114,6 @@ class AssetNode:
                 return c
         return None
 
-    def is_file_like(self) -> bool:
-        return self.kind == FILE
-
 
 def flatten_lines(node: AssetNode) -> list[str]:
     """Physical text lines of a file (or block), in serialization order."""
@@ -495,7 +492,7 @@ class AssetTree:
                     frontier.append(nxt)
         return None
 
-    # copying and serialization
+    # copying
 
     def clone(self) -> "AssetTree":
         twin = AssetTree.__new__(AssetTree)
@@ -505,37 +502,6 @@ class AssetTree:
         twin.traces = self.traces.copy()
         twin.donors = {k: d.clone() for k, d in self.donors.items()}
         return twin
-
-    def to_dict(self) -> dict:
-        return {
-            "revision": self.revision,
-            "next_id": self._next_id,
-            "root": _node_to_dict(self.root),
-            "traces": [vars(t) | {} for t in self.traces.traces],
-            "tombstones": {str(k): v for k, v in self.traces.tombstones.items()},
-            "donors": {k: {"included_in": {r: sorted(s) for r, s in d.included_in.items()}}
-                       for k, d in self.donors.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, donors: Optional[dict[str, DonorProject]] = None
-                  ) -> "AssetTree":
-        tree = cls.__new__(cls)
-        tree._next_id = data["next_id"]
-        tree.root = _node_from_dict(data["root"])
-        tree.revision = data["revision"]
-        tree.traces = TraceDb()
-        tree.traces.traces = [CloneTrace(**t) for t in data["traces"]]
-        tree.traces.tombstones = {int(k): v for k, v in data["tombstones"].items()}
-        tree.donors = {}
-        for donor_id, state in data.get("donors", {}).items():
-            if donors and donor_id in donors:
-                donor = donors[donor_id].clone()
-            else:
-                donor = DonorProject(donor_id, "", ManifestModel(donor_id), {}, [], {}, {})
-            donor.included_in = {r: set(v) for r, v in state["included_in"].items()}
-            tree.donors[donor_id] = donor
-        return tree
 
 
 def _copy_node_keep_ids(node: AssetNode) -> AssetNode:
@@ -551,31 +517,3 @@ def _copy_node_keep_ids(node: AssetNode) -> AssetNode:
 def _feature_to_dict(feature: Feature) -> dict:
     return {"name": feature.name, "origin": feature.origin,
             "children": [_feature_to_dict(c) for c in feature.children]}
-
-
-def _feature_from_dict(data: dict) -> Feature:
-    return Feature(data["name"], data.get("origin", ""),
-                   [_feature_from_dict(c) for c in data.get("children", [])])
-
-
-def _node_to_dict(node: AssetNode) -> dict:
-    out: dict = {"kind": node.kind, "name": node.name, "id": node.node_id}
-    if node.content is not None:
-        out["content"] = list(node.content)
-    if node.children:
-        out["children"] = [_node_to_dict(c) for c in node.children]
-    if node.mapped_features:
-        out["features"] = sorted(list(p) for p in node.mapped_features)
-    if node.feature_model is not None:
-        out["feature_model"] = _feature_to_dict(node.feature_model.root)
-    return out
-
-
-def _node_from_dict(data: dict) -> AssetNode:
-    node = AssetNode(data["kind"], data["name"], data["id"],
-                     content=list(data["content"]) if "content" in data else None)
-    node.children = [_node_from_dict(c) for c in data.get("children", [])]
-    node.mapped_features = {tuple(p) for p in data.get("features", [])}
-    if "feature_model" in data:
-        node.feature_model = FeatureModel(_feature_from_dict(data["feature_model"]))
-    return node

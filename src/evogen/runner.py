@@ -146,13 +146,6 @@ def make_checker(config: RunConfig, adapter) -> Callable[[Path], list[str]]:
     raise EvogenError(f"unknown checker kind {config.checker_kind!r}")
 
 
-def check_compilable(snapshot_dir: Path, config: RunConfig,
-                     adapter=None) -> list[str]:
-    """Post-hoc re-check of a materialized snapshot; empty list means ok."""
-    adapter = adapter or MinilangAdapter()
-    return make_checker(config, adapter)(Path(snapshot_dir))
-
-
 # -- termination predicates --------------------------------------------------
 
 _PREDICATE = re.compile(

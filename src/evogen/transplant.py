@@ -17,6 +17,7 @@ from . import model
 from .errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
                      ManifestParseError, MissingDependency, NotModular,
                      SliceConflict)
+from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
 from .operations import (OperationRecord, SLICES_DIR, ensure_folder_path,
@@ -25,11 +26,6 @@ from .refs import AssetRef, make_asset_ref, resolve_asset_ref
 
 
 # -- donor loading and scanning ----------------------------------------------
-
-def scan_donor_tests(donor: DonorProject, adapter) -> list[TestCandidate]:
-    """All annotated test candidates of a donor, ordered by (path, line)."""
-    return list(donor.test_candidates)
-
 
 def load_donor(path: Path, adapter) -> DonorProject:
     """Read a donor project directory into its immutable scan products."""
@@ -96,11 +92,6 @@ def _resolve_imports(adapter, lines, module_index, externals):
         else:
             return None, f"unresolved import {module!r}"
     return deps, ext
-
-
-def _external_covers(externals: set[str], module: str) -> bool:
-    parts = module.split(".")
-    return any(".".join(parts[:k]) in externals for k in range(1, len(parts) + 1))
 
 
 # -- organ extraction --------------------------------------------------------

@@ -21,7 +21,7 @@ from evogen.model import (AssetTree, FILE, Feature, feature_exclusive_assets,
                           structurally_equal)
 from evogen.operations import apply_clone_variant
 from evogen.refs import AssetRef, make_asset_ref, resolve_asset_ref
-from evogen.runner import PRESET_NAMES, check_compilable, preset, run, select_generator
+from evogen.runner import PRESET_NAMES, make_checker, preset, run, select_generator
 from evogen.stats import compute_metrics
 from evogen.transplant import extract_organ, load_donor
 
@@ -84,7 +84,7 @@ def test_criterion_compilability_gate(preset_runs):
         if elapsed >= 120:
             failures.append(f"{name} took {elapsed:.1f}s")
         for rev_dir in sorted((out / "revisions").iterdir()):
-            problems = check_compilable(rev_dir, config)
+            problems = make_checker(config, ADAPTER)(rev_dir)
             if problems:
                 failures.append(f"{name}/{rev_dir.name}: {problems[0]}")
     verdict("compilability gate (3 presets x 200 iterations, < 120 s each)",

@@ -125,6 +125,18 @@ class TestReplay:
         assert result.exit_code == 0
         assert f"replayed to revision {len(records)}" in result.output
 
+    def test_tampered_revision_counter_exit_one(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["revision_after"] = 99
+        lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 1
+        assert "revision counter mismatch" in result.output
+
     def test_divergent_ledger_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)
         (out / "ledger.ndjson").write_text("{broken\n")

@@ -1,5 +1,6 @@
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from evogen.errors import ReplayDivergence, SnapshotIoError
 from evogen.history import (feature_state, materialize_tree,
                             parse_initial_system, parse_snapshot, read_ledger,
-                            replay, replay_history, validate_history,
-                            write_snapshot)
+                            replay_history, validate_history, write_snapshot)
 from evogen.minilang import MinilangAdapter
-from evogen.model import structurally_equal
+from evogen.model import AssetTree, structurally_equal
+from evogen.refs import AssetRef
 from evogen.runner import RunConfig, run
 
 from conftest import (random_fs_tree, write_donor, write_initial_system)
@@ -90,10 +91,10 @@ class TestLedgerAndReplay:
             assert files_a == files_b, f"divergence at revision {revision}"
 
     def test_replay_final_tree(self, history, adapter):
-        final = replay(history / "revisions" / "0000",
-                       history / "ledger.ndjson", adapter)
+        for revision, final in replay_history(history, adapter):
+            pass
         records = read_ledger(history)
-        assert final.revision == len(records)
+        assert revision == final.revision == len(records)
 
     def test_replayed_feature_state_matches_stored(self, history, adapter):
         for revision, tree in replay_history(history, adapter):
@@ -145,6 +146,31 @@ class TestValidate:
         traces.write_text("\n".join(lines[:-1]) + ("\n" if lines[:-1] else ""))
         report = validate_history(history, adapter)
         assert any(v["kind"] == "trace-consistency" for v in report.violations)
+
+    def test_dangling_trace_ref_detected(self, history, adapter):
+        traces = history / "traces.ndjson"
+        lines = traces.read_text().splitlines()
+        assert lines, "run produced no traces"
+        line = json.loads(lines[0])
+        ref = AssetRef.from_text(line["source"])
+        line["source"] = AssetRef(ref.revision, "/no/such/path").to_text()
+        lines[0] = json.dumps(line, sort_keys=True, separators=(",", ":"))
+        traces.write_text("\n".join(lines) + "\n")
+        report = validate_history(history, adapter)
+        kinds = {v["kind"] for v in report.violations}
+        assert {"trace-consistency", "ref-resolution"} <= kinds
+        assert {"kind": "ref-resolution", "where": line["op"],
+                "message": f"trace source {line['source']} does not resolve"} \
+            in report.violations
+
+    def test_validates_without_tree_copies_or_temp_dirs(self, history, adapter,
+                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate must not copy trees or use temp dirs")
+        monkeypatch.setattr(AssetTree, "clone", refuse)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        report = validate_history(history, adapter)
+        assert report.ok, report.violations
 
     def test_tampered_feature_state_detected(self, history, adapter):
         state = history / "features" / "0000.json"

@@ -9,7 +9,7 @@ from evogen.model import (AssetTree, CloneTrace, Feature, FeatureModel, FILE,
                           structurally_equal)
 from evogen.refs import make_asset_ref
 
-from conftest import build_repo, random_fs_tree, random_structured_tree
+from conftest import build_repo, random_fs_tree
 
 
 def mapped(repo, path, *features):
@@ -185,13 +185,6 @@ class TestLineEdits:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_dict_round_trip_structural_identity(self, seed):
-        tree = random_structured_tree(random.Random(seed))
-        clone = AssetTree.from_dict(tree.to_dict())
-        assert structurally_equal(tree.root, clone.root)
-        assert clone.revision == tree.revision
-
     @pytest.mark.parametrize("seed", range(10))
     def test_clone_preserves_ids_and_structure(self, seed):
         tree = random_fs_tree(random.Random(seed))

@@ -8,9 +8,9 @@ import pytest
 from evogen.errors import (BadDistribution, EvogenError, InvalidInitialSystem,
                            SnapshotIoError)
 from evogen.generators import GENERATOR_IDS
-from evogen.runner import (PRESET_NAMES, RunConfig, check_compilable,
-                           make_checker, parse_termination, preset, run,
-                           select_generator)
+from evogen.minilang import MinilangAdapter
+from evogen.runner import (PRESET_NAMES, RunConfig, make_checker,
+                           parse_termination, preset, run, select_generator)
 
 from conftest import write_donor, write_initial_system
 
@@ -87,9 +87,9 @@ class TestChecker:
     def test_bundled_checker_flags_problems(self, tmp_path):
         repo = write_initial_system(tmp_path / "snap")
         config = RunConfig()
-        assert check_compilable(tmp_path / "snap", config) == []
+        assert make_checker(config, MinilangAdapter())(tmp_path / "snap") == []
         (repo / "main.mini").write_text("import ghost\n")
-        assert check_compilable(tmp_path / "snap", config) != []
+        assert make_checker(config, MinilangAdapter())(tmp_path / "snap") != []
 
     def test_external_checker_exit_status(self, tmp_path):
         ok = RunConfig(checker_kind="externalCommand", checker_cmd="true")
@@ -134,7 +134,7 @@ class TestRun:
         config = small_run_config()
         run(config, system, donors, out)
         for rev_dir in (out / "revisions").iterdir():
-            assert check_compilable(rev_dir, config) == []
+            assert make_checker(config, MinilangAdapter())(rev_dir) == []
 
     def test_same_seed_byte_identical(self, tmp_path):
         system, donors = self._inputs(tmp_path)
