@@ -117,7 +117,7 @@ def replay(out_dir):
     try:
         for revision, tree in replay_history(Path(out_dir), MinilangAdapter()):
             pass
-    except ReplayDivergence as exc:
+    except (ReplayDivergence, SnapshotIoError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
     click.echo(f"replayed to revision {revision} "

@@ -181,8 +181,7 @@ def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
                     + "\n", encoding="utf-8", newline="\n")
 
 
-def read_ledger(out_dir: Path) -> list[dict]:
-    path = Path(out_dir) / "ledger.ndjson"
+def _read_ndjson(path: Path, what: str) -> list[dict]:
     if not path.is_file():
         return []
     records = []
@@ -190,8 +189,12 @@ def read_ledger(out_dir: Path) -> list[dict]:
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise ReplayDivergence(i, f"malformed ledger line: {exc}") from exc
+            raise ReplayDivergence(i, f"malformed {what} line: {exc}") from exc
     return records
+
+
+def read_ledger(out_dir: Path) -> list[dict]:
+    return _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
 
 
 # -- replay ------------------------------------------------------------------
@@ -285,6 +288,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         return report
 
     snapshots = sorted(p for p in revisions_dir.iterdir() if p.is_dir())
+    if not snapshots:
+        report.add("layout", str(revisions_dir), "revision 0000 missing")
+        return report
     expected = [f"{i:04d}" for i in range(len(snapshots))]
     if [p.name for p in snapshots] != expected:
         report.add("layout", str(revisions_dir), "revision directories not dense")
@@ -304,10 +310,11 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
             report.add("ledger", "run.json",
                        f"ledger has {len(records)} records, run.json says {committed}")
 
-    traces_path = out_dir / "traces.ndjson"
-    stored_traces = ([json.loads(l) for l in
-                      traces_path.read_text(encoding="utf-8").splitlines()]
-                     if traces_path.is_file() else [])
+    try:
+        stored_traces = _read_ndjson(out_dir / "traces.ndjson", "trace")
+    except ReplayDivergence as exc:
+        report.add("trace-consistency", "traces.ndjson", str(exc))
+        return report
     checks = _ref_checks(records, stored_traces)
 
     try:

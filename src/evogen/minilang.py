@@ -15,11 +15,14 @@ every language-specific hook the engine needs:
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
+from typing import Optional, Sequence
 
 from .errors import ManifestParseError
-from .model import MANIFEST_NAME, ManifestModel, TestCandidate
+from .model import (FILE, MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
+                    TestCandidate, flatten_lines)
 
 SOURCE_SUFFIX = ".mini"
 
@@ -164,56 +167,73 @@ def _split_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-# -- compilability checking over a materialized snapshot ---------------------
+# -- compilability checking ---------------------------------------------------
+
+#: one repository as seen by the checker: repository-relative path parts ->
+#: lines, for every source file and every manifest
+Listing = dict[tuple[str, ...], list[str]]
+
 
 def _external_covers(externals: set[str], module: str) -> bool:
     parts = module.split(".")
     return any(".".join(parts[:k]) in externals for k in range(1, len(parts) + 1))
 
 
-def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
-    """Problems found in one materialized repository; empty means compilable.
+def _subdir(entry: str) -> Optional[tuple[str, ...]]:
+    """Path parts of a manifest directory entry; None when it leaves the
+    repository (absolute, or with a ``..`` part)."""
+    parts = tuple(p for p in entry.split("/") if p not in ("", "."))
+    if entry.startswith("/") or ".." in parts:
+        return None
+    return parts
 
-    Checks brace balance per file and resolution of every import against the
-    repository's own modules, its declared slice sets and declared externals.
+
+def _under(path: tuple[str, ...], root: tuple[str, ...]) -> bool:
+    return len(path) > len(root) and path[:len(root)] == root
+
+
+def check_listing(files: Listing, adapter: MinilangAdapter) -> list[str]:
+    """Problems found in one repository; empty means compilable.
+
+    Checks brace balance per source file and resolution of every import
+    against the repository's own modules, its declared slice sets and
+    declared externals.  Problems name repository-relative paths.
     """
-    problems: list[str] = []
-    manifest_path = repo_dir / MANIFEST_NAME
-    manifest = ManifestModel(name=repo_dir.name)
-    if manifest_path.is_file():
+    manifest = ManifestModel(name="")
+    if (MANIFEST_NAME,) in files:
         try:
-            manifest = adapter.manifest_parse(manifest_path.read_text().splitlines())
+            manifest = adapter.manifest_parse(files[(MANIFEST_NAME,)])
         except ManifestParseError as exc:
-            return [f"{manifest_path.name}: {exc}"]
+            return [f"{MANIFEST_NAME}: {exc}"]
 
-    slice_dirs = [repo_dir / s for s in manifest.slices]
-    src_root = repo_dir / manifest.extras["srcdir"] if "srcdir" in manifest.extras else repo_dir
+    sources = sorted(p for p in files if adapter.is_source_file(p[-1]))
+    slice_roots = [r for r in map(_subdir, manifest.slices) if r is not None]
+    src_root = _subdir(manifest.extras.get("srcdir", ""))
 
-    def modules_under(root: Path, exclude: list[Path] = ()) -> set[str]:
-        out = set()
-        if not root.is_dir():
-            return out
-        for path in root.rglob("*" + SOURCE_SUFFIX):
-            if any(ex in path.parents for ex in exclude):
-                continue
-            out.add(adapter.relpath_to_module(path.relative_to(root).as_posix()))
-        return out
+    def modules_under(root: Optional[tuple[str, ...]],
+                      exclude: Sequence[tuple[str, ...]] = ()) -> set[str]:
+        if root is None:
+            return set()
+        return {adapter.relpath_to_module("/".join(p[len(root):]))
+                for p in sources
+                if _under(p, root) and not any(_under(p, ex) for ex in exclude)}
 
-    own_modules = modules_under(src_root, exclude=slice_dirs)
+    problems: list[str] = []
     slice_modules: set[str] = set()
     externals = set(manifest.deps)
-    for sdir in slice_dirs:
-        slice_modules |= modules_under(sdir)
-        smani = sdir / MANIFEST_NAME
-        if smani.is_file():
+    for root in slice_roots:
+        slice_modules |= modules_under(root)
+        smani = root + (MANIFEST_NAME,)
+        if smani in files:
             try:
-                externals |= set(adapter.manifest_parse(smani.read_text().splitlines()).deps)
+                externals |= set(adapter.manifest_parse(files[smani]).deps)
             except ManifestParseError as exc:
-                problems.append(f"{smani}: {exc}")
+                problems.append(f"{'/'.join(smani)}: {exc}")
+    host_modules = modules_under(src_root, exclude=slice_roots) | slice_modules
 
-    for path in sorted(repo_dir.rglob("*" + SOURCE_SUFFIX)):
-        rel = path.relative_to(repo_dir).as_posix()
-        lines = path.read_text().splitlines()
+    for path in sources:
+        rel = "/".join(path)
+        lines = files[path]
         depth = 0
         for i, line in enumerate(lines):
             depth += line.count("{") - line.count("}")
@@ -222,8 +242,8 @@ def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
                 break
         if depth > 0:
             problems.append(f"{rel}: unclosed brace")
-        in_slice = any(sdir in path.parents for sdir in slice_dirs)
-        resolvable = (slice_modules if in_slice else own_modules | slice_modules)
+        in_slice = any(_under(path, root) for root in slice_roots)
+        resolvable = slice_modules if in_slice else host_modules
         for line in lines:
             if adapter.is_import(line):
                 module = adapter.import_module(line)
@@ -232,10 +252,60 @@ def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
     return problems
 
 
+def _in_repository(name: str, problems: list[str]) -> list[str]:
+    """Problems of repository `name`, each led by the repository's name."""
+    return [msg if msg.startswith(name) else f"{name}/{msg}" for msg in problems]
+
+
+# -- feeders: a materialized snapshot on disk, or the asset tree in memory ---
+
+def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
+    return name == MANIFEST_NAME or adapter.is_source_file(name)
+
+
+def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
+    """Problems of one materialized repository, read with one walk."""
+    files: Listing = {}
+    for dirpath, _, filenames in os.walk(repo_dir):
+        base = Path(dirpath).relative_to(repo_dir).parts
+        for name in filenames:
+            if _is_checked_file(adapter, name):
+                text = Path(dirpath, name).read_text(encoding="utf-8")
+                files[base + (name,)] = text.splitlines()
+    return check_listing(files, adapter)
+
+
 def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter) -> list[str]:
     """Check every repository of a materialized snapshot."""
     problems = []
     for repo_dir in sorted(p for p in Path(snapshot_dir).iterdir() if p.is_dir()):
-        problems.extend(f"{repo_dir.name}/{msg}" if not msg.startswith(repo_dir.name) else msg
-                        for msg in check_repository_dir(repo_dir, adapter))
+        problems.extend(_in_repository(repo_dir.name,
+                                       check_repository_dir(repo_dir, adapter)))
+    return problems
+
+
+def _tree_listing(repo: AssetNode, adapter: MinilangAdapter) -> Listing:
+    """The listing a materialized copy of `repo` would give.  Every tree
+    line entered through ``splitlines``, so no line holds a line break."""
+    files: Listing = {}
+
+    def walk(node: AssetNode, base: tuple[str, ...]) -> None:
+        for child in node.children:
+            path = base + (child.name,)
+            if child.kind != FILE:
+                walk(child, path)
+            elif _is_checked_file(adapter, child.name):
+                files[path] = flatten_lines(child)
+
+    walk(repo, ())
+    return files
+
+
+def check_tree(tree: AssetTree, adapter: MinilangAdapter) -> list[str]:
+    """Check every repository of the tree in memory; equals
+    ``check_snapshot_dir`` on a materialized copy of the tree."""
+    problems = []
+    for repo in sorted(tree.repositories, key=lambda r: r.name):
+        problems.extend(_in_repository(repo.name,
+                                       check_listing(_tree_listing(repo, adapter), adapter)))
     return problems

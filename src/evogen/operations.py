@@ -7,10 +7,7 @@ high-level operator are recorded as nested sub-operations.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from . import model
@@ -410,28 +407,21 @@ class RolledBack:
 
 
 def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,
-                       checker: Callable[[Path], list[str]],
-                       adapter=None, scratch_dir: Optional[Path] = None):
+                       checker: Callable[[AssetTree], list[str]], adapter=None):
     """Apply a candidate on a scratch copy, gate it on the checker.
 
     Returns Committed (with the new tree at revision + 1) or RolledBack; the
     input tree is never touched.
     """
-    from .history import materialize_tree
     scratch = tree.clone()
     try:
         record = execute(scratch, kind, params, op_id, adapter=adapter)
     except EvogenError as exc:
         return RolledBack(f"{type(exc).__name__}: {exc}")
-    tmp = tempfile.mkdtemp(prefix="evogen-txn-", dir=scratch_dir)
     try:
-        materialize_tree(scratch, Path(tmp))
-        try:
-            problems = checker(Path(tmp))
-        except Exception as exc:  # checker crash or timeout
-            return RolledBack(f"checkerError: {exc}")
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        problems = checker(scratch)
+    except Exception as exc:  # checker crash or timeout
+        return RolledBack(f"checkerError: {exc}")
     if problems:
         return RolledBack("; ".join(problems[:5]))
     scratch.revision += 1

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import random
 import re
+import shutil
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -21,7 +23,9 @@ from .errors import (BadDistribution, EvogenError, InvalidInitialSystem,
 from .generators import GENERATOR_IDS, GenContext, generate
 from .history import (append_ledger, append_traces, parse_initial_system,
                       write_feature_state, write_snapshot)
-from .minilang import MinilangAdapter, check_snapshot_dir
+# check_snapshot_dir is unused here, but perfbench/tracer.py patches
+# runner.check_snapshot_dir, so the binding stays until the benchmark drops it
+from .minilang import MinilangAdapter, check_snapshot_dir, check_tree  # noqa: F401
 from .model import AssetTree
 from .operations import Committed, run_in_transaction
 from .transplant import load_donor
@@ -124,20 +128,28 @@ def select_generator(distribution: dict[str, float], rng: random.Random) -> str:
 
 # -- compilability checking --------------------------------------------------
 
-def make_checker(config: RunConfig, adapter) -> Callable[[Path], list[str]]:
+def make_checker(config: RunConfig, adapter) -> Callable[[AssetTree], list[str]]:
+    """The compilability gate: problems of a tree, empty when it compiles."""
     if config.checker_kind == BUNDLED_CHECKER:
-        return lambda path: check_snapshot_dir(Path(path), adapter)
+        return lambda tree: check_tree(tree, adapter)
     if config.checker_kind == EXTERNAL_CHECKER:
         if not config.checker_cmd:
             raise EvogenError("externalCommand checker needs checker.cmd")
 
-        def run_cmd(path: Path) -> list[str]:
+        def run_cmd(tree: AssetTree) -> list[str]:
+            # imported here: perfbench/tracer.py refuses module-level bindings
+            # of traced functions that it does not patch
+            from .history import materialize_tree
+            tmp = tempfile.mkdtemp(prefix="evogen-txn-")
             try:
-                proc = subprocess.run(config.checker_cmd, shell=True,
-                                      cwd=str(path), capture_output=True,
+                materialize_tree(tree, Path(tmp))
+                proc = subprocess.run(config.checker_cmd, shell=True, cwd=tmp,
+                                      capture_output=True,
                                       timeout=config.checker_timeout_s)
             except subprocess.TimeoutExpired:
                 return [f"timeout after {config.checker_timeout_s}s"]
+            finally:
+                shutil.rmtree(tmp, ignore_errors=True)
             if proc.returncode != 0:
                 return [f"checker exit status {proc.returncode}"]
             return []
@@ -219,8 +231,8 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
         raise BadDistribution(f"unknown generators: {sorted(unknown)}")
     terminated = parse_termination(config.termination)
 
-    snapshot0 = write_snapshot(tree, 0, out_dir)
-    problems = checker(snapshot0)
+    write_snapshot(tree, 0, out_dir)
+    problems = checker(tree)
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
     write_feature_state(tree, out_dir)

@@ -16,12 +16,12 @@ from scipy.stats import chisquare
 from evogen import model as m
 from evogen.generators import clone_feature_triples
 from evogen.history import read_ledger, replay_history
-from evogen.minilang import MinilangAdapter
+from evogen.minilang import MinilangAdapter, check_snapshot_dir
 from evogen.model import (AssetTree, FILE, Feature, feature_exclusive_assets,
                           structurally_equal)
 from evogen.operations import apply_clone_variant
 from evogen.refs import AssetRef, make_asset_ref, resolve_asset_ref
-from evogen.runner import PRESET_NAMES, make_checker, preset, run, select_generator
+from evogen.runner import PRESET_NAMES, preset, run, select_generator
 from evogen.stats import compute_metrics
 from evogen.transplant import extract_organ, load_donor
 
@@ -81,10 +81,11 @@ def _dir_files(root: Path) -> dict[str, bytes]:
 def test_criterion_compilability_gate(preset_runs):
     failures = []
     for name, (out, config, elapsed) in preset_runs.items():
+        assert config.checker_kind == "bundledMinilang"
         if elapsed >= 120:
             failures.append(f"{name} took {elapsed:.1f}s")
         for rev_dir in sorted((out / "revisions").iterdir()):
-            problems = make_checker(config, ADAPTER)(rev_dir)
+            problems = check_snapshot_dir(rev_dir, ADAPTER)
             if problems:
                 failures.append(f"{name}/{rev_dir.name}: {problems[0]}")
     verdict("compilability gate (3 presets x 200 iterations, < 120 s each)",

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -107,6 +108,26 @@ class TestValidate:
         report = json.loads((out / "validation.json").read_text())
         assert report["ok"] is True
 
+    def test_empty_revisions_is_a_layout_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        for snap in (out / "revisions").iterdir():
+            shutil.rmtree(snap)
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["message"]) for v in report["violations"]] == [
+            ("layout", "revision 0000 missing")]
+
+    def test_malformed_trace_line_is_a_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        with open(out / "traces.ndjson", "a") as fh:
+            fh.write("{oops\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [v["kind"] for v in report["violations"]] == ["trace-consistency"]
+        assert "malformed trace line" in report["violations"][0]["message"]
+
     def test_tampered_history_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)
         victim = next((out / "revisions").glob("00*/calc/main.mini"))
@@ -136,6 +157,15 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(out)])
         assert result.exit_code == 1
         assert "revision counter mismatch" in result.output
+
+    def test_empty_revisions_exit_one(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        for snap in (out / "revisions").iterdir():
+            shutil.rmtree(snap)
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "revisions/0000" in result.output
 
     def test_divergent_ledger_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from evogen.errors import ManifestParseError
-from evogen.minilang import (MinilangAdapter, check_repository_dir,
-                             check_snapshot_dir)
-from evogen.model import ManifestModel
+from evogen.history import materialize_tree, parse_snapshot
+from evogen.minilang import (MinilangAdapter, check_listing,
+                             check_repository_dir, check_snapshot_dir,
+                             check_tree)
+from evogen.model import AssetTree, ManifestModel
 
-from conftest import write_initial_system
+from conftest import build_repo, write_initial_system
 
 
 @pytest.fixture
@@ -159,3 +161,102 @@ class TestChecker:
         (broken / "main.mini").write_text("import nope\n")
         problems = check_snapshot_dir(tmp_path, mini)
         assert problems and all(p.startswith("broken/") for p in problems)
+
+
+# -- one checker over a listing: disk, tree and listing agree ----------------
+
+def _write(root, files: dict[str, str]) -> None:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+LISTING_CASES = {
+    "srcdir": ({
+        "project.manifest": "name: r\nsrcdir: src\n",
+        "src/lib/a.mini": "import lib.b\ndef a {\n}\n",
+        "src/lib/b.mini": "import lib.gone\n",
+        "top.mini": "import lib.a\nimport src.lib.a\n",
+    }, ["src/lib/b.mini: unresolved 'import lib.gone'",
+        "top.mini: unresolved 'import src.lib.a'"]),
+    "dotted slice entry": ({
+        "project.manifest": "name: r\nslices: ./slices/x/\n",
+        "slices/x/project.manifest": "name: x\ndeps: ext\n",
+        "slices/x/lib/m.mini": "import ext.io\nimport top\n",
+        "top.mini": "import lib.m\n",
+    }, ["slices/x/lib/m.mini: unresolved 'import top'"]),
+    "bad manifest": ({
+        "project.manifest": "oops\n",
+        "a.mini": "def a {\n",
+    }, ["project.manifest: line 0: 'oops'"]),
+    "bad slice manifest": ({
+        "project.manifest": "name: r\nslices: slices/x\n",
+        "slices/x/project.manifest": "bogus\n",
+        "a.mini": "def a {\n",
+    }, ["slices/x/project.manifest: line 0: 'bogus'", "a.mini: unclosed brace"]),
+    "empty files": ({
+        "project.manifest": "",
+        "a.mini": "",
+    }, []),
+    "parts order, not string order": ({
+        "a-b/x.mini": "}\n",
+        "a/x.mini": "}\n",
+    }, ["a/x.mini:0: unbalanced closing brace",
+        "a-b/x.mini:0: unbalanced closing brace"]),
+}
+
+
+class TestListing:
+    @pytest.mark.parametrize("case", LISTING_CASES)
+    def test_listing_disk_and_tree_agree(self, tmp_path, mini, case):
+        files, expected = LISTING_CASES[case]
+        listing = {tuple(rel.split("/")): text.splitlines()
+                   for rel, text in files.items()}
+        assert check_listing(listing, mini) == expected
+        _write(tmp_path / "r", files)
+        assert check_repository_dir(tmp_path / "r", mini) == expected
+        in_repo = [f"r/{p}" for p in expected]
+        assert check_snapshot_dir(tmp_path, mini) == in_repo
+        assert check_tree(parse_snapshot(tmp_path), mini) == in_repo
+
+    def test_repositories_in_name_order(self, tmp_path, mini):
+        tree = AssetTree()
+        build_repo(tree, "zeta", {"a.mini": ["}"]})
+        build_repo(tree, "alpha", {"a.mini": ["{"]})
+        materialize_tree(tree, tmp_path)
+        assert check_tree(tree, mini) == check_snapshot_dir(tmp_path, mini) == [
+            "alpha/a.mini: unclosed brace", "zeta/a.mini:0: unbalanced closing brace"]
+
+
+class TestCheckerFixes:
+    def test_folder_named_like_a_source_is_not_a_source(self, tmp_path, mini):
+        repo = write_initial_system(tmp_path)
+        _write(repo, {"pkg.mini/inner.mini": "def inner {\n}\n",
+                      "main.mini": "import pkg\nimport pkg.mini.inner\n"})
+        expected = ["calc/main.mini: unresolved 'import pkg'"]
+        assert check_snapshot_dir(tmp_path, mini) == expected
+        assert check_tree(parse_snapshot(tmp_path), mini) == expected
+
+    def test_slice_manifest_error_names_snapshot_relative_path(self, tmp_path, mini):
+        repo = write_initial_system(tmp_path)
+        _write(repo, {"project.manifest": "name: calc\nslices: slices/x\n",
+                      "slices/x/project.manifest": "bogus\n"})
+        problems = check_snapshot_dir(tmp_path, mini)
+        assert problems == ["calc/slices/x/project.manifest: line 0: 'bogus'"]
+        assert check_tree(parse_snapshot(tmp_path), mini) == problems
+
+    @pytest.mark.parametrize("key, entry", [
+        ("srcdir", "../lib"), ("srcdir", "LIB_ABS"),
+        ("slices", "../lib"), ("slices", "LIB_ABS")])
+    def test_entry_outside_the_repository_matches_no_files(self, tmp_path, mini,
+                                                           key, entry):
+        snap = tmp_path / "snap"
+        _write(snap, {"lib/util2.mini": "def u {\n}\n"})
+        entry = entry.replace("LIB_ABS", str(snap / "lib"))
+        repo = write_initial_system(snap)
+        _write(repo, {"project.manifest": f"name: calc\n{key}: {entry}\n",
+                      "main.mini": "import util2\n"})
+        problems = check_snapshot_dir(snap, mini)
+        assert problems == ["calc/main.mini: unresolved 'import util2'"]
+        assert check_tree(parse_snapshot(snap), mini) == problems

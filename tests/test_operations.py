@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 
@@ -8,7 +7,7 @@ from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
                            DuplicateRepository, NotMutable,
                            UnrelatedRepositories)
 from evogen.history import materialize_tree
-from evogen.minilang import MinilangAdapter, check_snapshot_dir
+from evogen.minilang import MinilangAdapter, check_tree
 from evogen.model import AssetTree, FILE, Feature, structurally_equal
 from evogen.operations import (Committed, OperationRecord, RolledBack,
                                apply_clone_feature, apply_clone_variant,
@@ -261,7 +260,7 @@ class TestTransactions:
         result = run_in_transaction(
             tree, "MutateAsset",
             {"target": ref, "mutation": "addLine", "line": 1, "donor_line": "x"},
-            "op1", lambda p: check_snapshot_dir(p, adapter), adapter=adapter)
+            "op1", lambda t: check_tree(t, adapter), adapter=adapter)
         assert isinstance(result, Committed)
         assert result.tree.revision == tree.revision + 1
         assert self._dump(tree, tmp_path, "after") == before
@@ -275,7 +274,7 @@ class TestTransactions:
         result = run_in_transaction(
             tree, "MutateAsset",
             {"target": ref, "mutation": "deleteLine", "line": 1},
-            "op1", lambda p: check_snapshot_dir(p, adapter), adapter=adapter)
+            "op1", lambda t: check_tree(t, adapter), adapter=adapter)
         assert isinstance(result, RolledBack)
         assert "brace" in result.reason
         assert self._dump(tree, tmp_path, "after") == before
@@ -294,7 +293,7 @@ class TestTransactions:
         tree = AssetTree()
         build_repo(tree, "r", {"a.mini": ["x"]})
 
-        def boom(path: Path):
+        def boom(tree: AssetTree):
             raise RuntimeError("checker exploded")
 
         result = run_in_transaction(

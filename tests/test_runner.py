@@ -1,14 +1,18 @@
 import json
 import random
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from evogen import history
 from evogen.errors import (BadDistribution, EvogenError, InvalidInitialSystem,
                            SnapshotIoError)
 from evogen.generators import GENERATOR_IDS
-from evogen.minilang import MinilangAdapter
+from evogen.history import parse_snapshot
+from evogen.minilang import MinilangAdapter, check_snapshot_dir
+from evogen.model import AssetTree
 from evogen.runner import (PRESET_NAMES, RunConfig, make_checker,
                            parse_termination, preset, run, select_generator)
 
@@ -86,16 +90,26 @@ class TestTermination:
 class TestChecker:
     def test_bundled_checker_flags_problems(self, tmp_path):
         repo = write_initial_system(tmp_path / "snap")
-        config = RunConfig()
-        assert make_checker(config, MinilangAdapter())(tmp_path / "snap") == []
+        checker = make_checker(RunConfig(), MinilangAdapter())
+        assert checker(parse_snapshot(tmp_path / "snap")) == []
         (repo / "main.mini").write_text("import ghost\n")
-        assert make_checker(config, MinilangAdapter())(tmp_path / "snap") != []
+        assert checker(parse_snapshot(tmp_path / "snap")) == [
+            "calc/main.mini: unresolved 'import ghost'"]
 
-    def test_external_checker_exit_status(self, tmp_path):
+    def test_external_checker_exit_status(self):
         ok = RunConfig(checker_kind="externalCommand", checker_cmd="true")
         bad = RunConfig(checker_kind="externalCommand", checker_cmd="false")
-        assert make_checker(ok, None)(tmp_path) == []
-        assert make_checker(bad, None)(tmp_path) != []
+        assert make_checker(ok, None)(AssetTree()) == []
+        assert make_checker(bad, None)(AssetTree()) != []
+
+    def test_external_checker_sees_materialized_tree(self, tmp_path):
+        write_initial_system(tmp_path / "snap")
+        tree = parse_snapshot(tmp_path / "snap")
+        has_main = RunConfig(checker_kind="externalCommand",
+                             checker_cmd="test -f calc/main.mini")
+        assert make_checker(has_main, None)(tree) == []
+        tree.find_repository("calc").children.clear()
+        assert make_checker(has_main, None)(tree) == ["checker exit status 1"]
 
     def test_external_checker_needs_cmd(self):
         with pytest.raises(EvogenError):
@@ -133,8 +147,29 @@ class TestRun:
         out = tmp_path / "out"
         config = small_run_config()
         run(config, system, donors, out)
+        assert config.checker_kind == "bundledMinilang"
         for rev_dir in (out / "revisions").iterdir():
-            assert make_checker(config, MinilangAdapter())(rev_dir) == []
+            assert check_snapshot_dir(rev_dir, MinilangAdapter()) == []
+
+    def test_bundled_checker_writes_no_scratch_tree(self, tmp_path, monkeypatch):
+        system, donors = self._inputs(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bundled checker must not use temp dirs")
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        materialized = []
+        real = history.materialize_tree
+
+        def counting(tree, dest):
+            materialized.append(dest)
+            return real(tree, dest)
+        monkeypatch.setattr(history, "materialize_tree", counting)
+        out = tmp_path / "out"
+        summary = run(small_run_config(), system, donors, out)
+        assert summary.committed_total > 0
+        assert sum(summary.rolled_back.values()) > 0
+        assert len(materialized) == summary.committed_total + 1
+        assert "checkerError" not in (out / "debug.log").read_text()
 
     def test_same_seed_byte_identical(self, tmp_path):
         system, donors = self._inputs(tmp_path)
