@@ -29,7 +29,10 @@ from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
                     FeatureModel, REPOSITORY, _feature_to_dict)
 from .operations import execute
-from .refs import AssetRef, FeatureRef, make_asset_ref, resolve_asset_ref, resolve_feature_ref
+# make_asset_ref is unused here, but perfbench/tracer.py patches
+# history.make_asset_ref, so the binding stays until the benchmark drops it
+from .refs import (AssetRef, FeatureRef, make_asset_ref, repository_refs,  # noqa: F401
+                   resolve_asset_ref, resolve_feature_ref)
 
 SCHEMA_VERSION = 1
 
@@ -157,13 +160,10 @@ def append_traces(traces: list, out_dir: Path) -> None:
 def feature_state(tree: AssetTree) -> dict:
     repos = {}
     for repo in tree.repositories:
-        mappings = []
-        for node in repo.iter_nodes():
-            if node.mapped_features:
-                mappings.append({
-                    "asset": make_asset_ref(tree, node).to_text(),
-                    "features": sorted("/".join(p) for p in node.mapped_features),
-                })
+        mappings = [{"asset": ref.to_text(),
+                     "features": sorted("/".join(p) for p in node.mapped_features)}
+                    for node, ref in repository_refs(
+                        tree, repo, lambda n: n.mapped_features)]
         mappings.sort(key=lambda m: m["asset"])
         repos[repo.name] = {
             "model": _feature_to_dict(repo.feature_model.root)
@@ -195,6 +195,18 @@ def _read_ndjson(path: Path, what: str) -> list[dict]:
 
 def read_ledger(out_dir: Path) -> list[dict]:
     return _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
+
+
+#: keys replay and validation read from every ledger record and trace line
+LEDGER_KEYS = ("kind", "params", "op_id", "revision_before", "revision_after")
+TRACE_KEYS = ("op", "source", "target")
+
+
+def _require_keys(lines: list[dict], keys: tuple[str, ...], what: str) -> None:
+    for i, line in enumerate(lines):
+        missing = [k for k in keys if k not in line] if isinstance(line, dict) else keys
+        if missing:
+            raise ReplayDivergence(i, f"{what} line lacks {', '.join(missing)}")
 
 
 # -- replay ------------------------------------------------------------------
@@ -298,20 +310,26 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
 
     try:
         records = read_ledger(out_dir)
+        _require_keys(records, LEDGER_KEYS, "ledger")
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
 
     run_path = out_dir / "run.json"
     if run_path.is_file():
-        summary = json.loads(run_path.read_text())
-        committed = summary.get("summary", {}).get("committed_total")
-        if committed is not None and committed != len(records):
-            report.add("ledger", "run.json",
-                       f"ledger has {len(records)} records, run.json says {committed}")
+        try:
+            summary = json.loads(run_path.read_text())
+        except ValueError as exc:
+            report.add("ledger", "run.json", f"malformed run.json: {exc}")
+        else:
+            committed = summary.get("summary", {}).get("committed_total")
+            if committed is not None and committed != len(records):
+                report.add("ledger", "run.json",
+                           f"ledger has {len(records)} records, run.json says {committed}")
 
     try:
         stored_traces = _read_ndjson(out_dir / "traces.ndjson", "trace")
+        _require_keys(stored_traces, TRACE_KEYS, "trace")
     except ReplayDivergence as exc:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
@@ -337,7 +355,12 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
             if not state_path.is_file():
                 report.add("layout", state_path.name, "feature state missing")
             else:
-                stored = json.loads(state_path.read_text(encoding="utf-8"))
+                try:
+                    stored = json.loads(state_path.read_text(encoding="utf-8"))
+                except ValueError as exc:
+                    report.add("mapping-consistency", state_path.name,
+                               f"malformed feature state: {exc}")
+                    continue
                 if stored != feature_state(tree):
                     report.add("mapping-consistency", state_path.name,
                                "stored feature state differs from replayed state")

@@ -254,7 +254,7 @@ def check_listing(files: Listing, adapter: MinilangAdapter) -> list[str]:
 
 def _in_repository(name: str, problems: list[str]) -> list[str]:
     """Problems of repository `name`, each led by the repository's name."""
-    return [msg if msg.startswith(name) else f"{name}/{msg}" for msg in problems]
+    return [f"{name}/{msg}" for msg in problems]
 
 
 # -- feeders: a materialized snapshot on disk, or the asset tree in memory ---

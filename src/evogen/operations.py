@@ -17,7 +17,8 @@ from .errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, LINE,
                     MANIFEST_NAME, REPOSITORY)
 from .refs import (AssetRef, FeatureRef, lpq_to_full_path, make_asset_ref,
-                   resolve_asset_ref, resolve_feature_ref)
+                   repository_refs, resolve_asset_ref, resolve_feature_ref,
+                   walk_asset_refs)
 
 ADD_LINE = "addLine"
 REPLACE_LINE = "replaceLine"
@@ -130,15 +131,16 @@ def update_manifest_asset(tree: AssetTree, repo: AssetNode, adapter,
 def _record_subtree_traces(tree: AssetTree, source: AssetNode, target: AssetNode,
                            op_id: str, rev_after: int) -> int:
     """One trace for the pair plus one per corresponding descendant."""
+    src_refs, tgt_refs = (
+        {n.node_id: ref.to_text() for n, ref in walk_asset_refs(
+            top, make_asset_ref(tree, top).at_revision(rev_after))}
+        for top in (source, target))
     count = 0
     pairs = [(source, target)]
     while pairs:
         src, tgt = pairs.pop(0)
-        tree.traces.add(CloneTrace(
-            op_id,
-            make_asset_ref(tree, src).at_revision(rev_after).to_text(),
-            make_asset_ref(tree, tgt).at_revision(rev_after).to_text(),
-            src.node_id, tgt.node_id))
+        tree.traces.add(CloneTrace(op_id, src_refs[src.node_id],
+                                   tgt_refs[tgt.node_id], src.node_id, tgt.node_id))
         count += 1
         pairs.extend(zip(src.children, tgt.children))
     return count
@@ -163,7 +165,9 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
     exclusive = model.feature_exclusive_assets(repo, feature_path)
 
     # refs cite the pre-state, so mint them before surgery shifts any index
-    pre_refs = {a.node_id: make_asset_ref(tree, a).to_text() for a in exclusive}
+    exclusive_ids = {a.node_id for a in exclusive}
+    pre_refs = {node.node_id: ref.to_text() for node, ref in repository_refs(
+        tree, repo, lambda n: n.node_id in exclusive_ids)}
     for asset in exclusive:
         if not tree.contains(asset):  # ancestor already removed
             continue
@@ -173,13 +177,13 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
             tree.traces.tombstone(node.node_id, rev_after)
         detach_node(tree, asset)
 
-    for node in repo.iter_nodes():
+    for node, ref in repository_refs(tree, repo,
+                                     lambda n: n.mapped_features & removed_paths):
         stale = node.mapped_features & removed_paths
-        if stale:
-            node.mapped_features -= stale
-            record.add_sub("RemoveMapping", {
-                "asset": make_asset_ref(tree, node).at_revision(rev_after).to_text(),
-                "features": sorted("/".join(p) for p in stale)})
+        node.mapped_features -= stale
+        record.add_sub("RemoveMapping", {
+            "asset": ref.at_revision(rev_after).to_text(),
+            "features": sorted("/".join(p) for p in stale)})
 
     repo.feature_model.remove(feature_path)
     return record

@@ -9,6 +9,7 @@ Textual forms (these exact strings appear in the ledger):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from .errors import DanglingRef, NotInTree, StaleRef, UnknownFeature
 from .model import FS_KINDS, AssetNode, AssetTree, Feature, FeatureModel
@@ -51,19 +52,53 @@ class FeatureRef:
         return cls(repo, tuple(lpq.split("/")))
 
 
+def _child_path(fs_path: str, index_path: tuple[int, ...], child: AssetNode,
+                position: int) -> tuple[str, tuple[int, ...]]:
+    """Ref parts of `child`, found at `position` among the children of the
+    node whose ref parts are `fs_path` and `index_path`: an FS-kind child
+    extends the filesystem path while the index path is empty; any other
+    child appends its position."""
+    if child.kind in FS_KINDS and not index_path:
+        return ("" if fs_path == "/" else fs_path) + "/" + child.name, index_path
+    return fs_path, index_path + (position,)
+
+
 def make_asset_ref(tree: AssetTree, node: AssetNode) -> AssetRef:
     trail = tree.path_to(node)
     if trail is None:
         raise NotInTree(node.name)
-    fs_segments: list[str] = []
-    index_path: list[int] = []
+    fs_path, index_path = "/", ()
     for parent, child in zip(trail, trail[1:]):
-        if child.kind in FS_KINDS and not index_path:
-            fs_segments.append(child.name)
-        else:
-            index_path.append(parent.children.index(child))
-    fs_path = "/" + "/".join(fs_segments) if fs_segments else "/"
-    return AssetRef(tree.revision, fs_path, tuple(index_path))
+        fs_path, index_path = _child_path(fs_path, index_path, child,
+                                          parent.children.index(child))
+    return AssetRef(tree.revision, fs_path, index_path)
+
+
+def walk_asset_refs(node: AssetNode, ref: AssetRef,
+                    select: Optional[Callable[[AssetNode], object]] = None
+                    ) -> Iterator[tuple[AssetNode, AssetRef]]:
+    """(node, ref) for `node`, whose ref is `ref`, and for every descendant,
+    parents first and children in order, as ``AssetNode.iter_nodes`` visits
+    them; with `select`, only for the nodes it accepts.  The path is carried
+    down, so no node is searched for, and a leaf that is not selected costs
+    no ref."""
+    stack = [(node, ref.fs_path, ref.index_path)]
+    while stack:
+        node, fs_path, index_path = stack.pop()
+        if select is None or select(node):
+            yield node, AssetRef(ref.revision, fs_path, index_path)
+        children = node.children
+        for position in range(len(children) - 1, -1, -1):
+            child = children[position]
+            if child.children or select is None or select(child):
+                stack.append((child, *_child_path(fs_path, index_path, child, position)))
+
+
+def repository_refs(tree: AssetTree, repo: AssetNode,
+                    select: Optional[Callable[[AssetNode], object]] = None
+                    ) -> Iterator[tuple[AssetNode, AssetRef]]:
+    """``walk_asset_refs`` over a repository, a child of the root."""
+    return walk_asset_refs(repo, AssetRef(tree.revision, f"/{repo.name}"), select)
 
 
 def resolve_asset_ref(tree: AssetTree, ref: AssetRef) -> AssetNode:

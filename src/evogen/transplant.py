@@ -22,7 +22,7 @@ from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
 from .operations import (OperationRecord, SLICES_DIR, ensure_folder_path,
                          update_manifest_asset)
-from .refs import AssetRef, make_asset_ref, resolve_asset_ref
+from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
 
 
 # -- donor loading and scanning ----------------------------------------------
@@ -307,10 +307,14 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
     repo.feature_model.root.children.append(feature)
     feature_path = (repo.feature_model.root.name, feature_name)
     record.add_sub("AddFeature", {"feature": "/".join(feature_path)})
+    # all surgery is done: one walk of the repository mints every mapped ref
+    mapped_ids = {asset.node_id for asset in mapped_assets}
+    refs = {node.node_id: ref for node, ref in repository_refs(
+        tree, repo, lambda n: n.node_id in mapped_ids)}
     for asset in mapped_assets:
         asset.mapped_features.add(feature_path)
         record.add_sub("AddMapping", {
-            "asset": make_asset_ref(tree, asset).at_revision(rev_after).to_text(),
+            "asset": refs[asset.node_id].at_revision(rev_after).to_text(),
             "features": ["/".join(feature_path)]})
 
     donor = tree.donors.get(donor_id)

@@ -128,6 +128,61 @@ class TestValidate:
         assert [v["kind"] for v in report["violations"]] == ["trace-consistency"]
         assert "malformed trace line" in report["violations"][0]["message"]
 
+    def test_malformed_run_json_is_a_ledger_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        (out / "run.json").write_text("{oops\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["where"]) for v in report["violations"]] == [
+            ("ledger", "run.json")]
+        assert "malformed run.json" in report["violations"][0]["message"]
+
+    def test_malformed_feature_state_is_a_mapping_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        (out / "features" / "0001.json").write_text("{oops\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["where"]) for v in report["violations"]] == [
+            ("mapping-consistency", "0001.json")]
+        assert "malformed feature state" in report["violations"][0]["message"]
+
+    @pytest.mark.parametrize("key", ["kind", "params", "op_id",
+                                     "revision_before", "revision_after"])
+    def test_ledger_line_without_a_key_is_a_ledger_violation(self, runner,
+                                                             tmp_path, key):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record[key]
+        lines[0] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["message"]) for v in report["violations"]] == [
+            ("ledger", f"replay diverged at record 0: ledger line lacks {key}")]
+
+    @pytest.mark.parametrize("key", ["op", "source", "target"])
+    def test_trace_line_without_a_key_is_a_trace_violation(self, runner,
+                                                           tmp_path, key):
+        _, out = generate_history(runner, tmp_path)
+        line = {"schema": 1, "op": "x", "source": "1:/calc", "target": "1:/calc_v1",
+                "source_node": 1, "target_node": 2}
+        del line[key]
+        traces = out / "traces.ndjson"
+        count = len(traces.read_text().splitlines()) if traces.is_file() else 0
+        with open(traces, "a") as fh:
+            fh.write(json.dumps(line) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["message"]) for v in report["violations"]] == [
+            ("trace-consistency",
+             f"replay diverged at record {count}: trace line lacks {key}")]
+
     def test_tampered_history_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)
         victim = next((out / "revisions").glob("00*/calc/main.mini"))

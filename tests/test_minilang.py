@@ -260,3 +260,10 @@ class TestCheckerFixes:
         problems = check_snapshot_dir(snap, mini)
         assert problems == ["calc/main.mini: unresolved 'import util2'"]
         assert check_tree(parse_snapshot(snap), mini) == problems
+
+    def test_problem_in_a_file_named_like_its_repository_names_the_repository(
+            self, tmp_path, mini):
+        _write(tmp_path / "lib", {"library.mini": "def f {\n"})
+        expected = ["lib/library.mini: unclosed brace"]
+        assert check_snapshot_dir(tmp_path, mini) == expected
+        assert check_tree(parse_snapshot(tmp_path), mini) == expected
