@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
 from .errors import (EvogenError, InvalidInitialSystem, LedgerIoError,
                      ReplayDivergence, SnapshotIoError)
@@ -23,6 +22,7 @@ def _load_config(config_path, preset_name, seed):
     else:
         config = RunConfig()
     if config_path:
+        import yaml  # only a config file needs it; other commands start faster
         data = yaml.safe_load(Path(config_path).read_text()) or {}
         base = config.to_dict()
         base.update({k: v for k, v in data.items() if k != "checker"})

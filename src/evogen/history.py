@@ -3,7 +3,8 @@
 Layout of a generated history directory:
 
     out/
-      revisions/NNNN/     full codebase snapshot per committed revision
+      revisions/NNNN/     full codebase snapshot per committed revision; a file
+                          unchanged since revision N-1 is a hard link to it
       ledger.ndjson       one operation record per line, in commit order
       traces.ndjson       one clone trace per line, append order
       features/NNNN.json  per-revision feature models and asset-to-feature map
@@ -18,10 +19,11 @@ directories.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import model
 from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
@@ -104,26 +106,51 @@ def _tree_files(tree: AssetTree) -> dict[str, bytes]:
             if node.kind == FILE}
 
 
-def materialize_tree(tree: AssetTree, dest: Path) -> None:
-    dest = Path(dest)
+def _write_tree(tree: AssetTree, dest: Path,
+                previous: Optional[dict[str, bytes]] = None,
+                link_dir: Optional[Path] = None) -> dict[str, bytes]:
+    """Write the tree's snapshot under `dest` and return its render.  A file
+    whose bytes equal ``previous[rel]`` becomes a hard link to
+    ``link_dir/rel``, or is written when linking fails."""
     dest.mkdir(parents=True, exist_ok=True)
+    files: dict[str, bytes] = {}
     for rel, node in _fs_nodes(tree):
         if node.kind == FILE:
-            (dest / rel).write_bytes(_file_bytes(node))
+            files[rel] = _file_bytes(node)
         else:
             (dest / rel).mkdir(parents=True, exist_ok=True)
+    for rel, data in files.items():
+        if previous is not None and previous.get(rel) == data:
+            try:
+                os.link(link_dir / rel, dest / rel)
+                continue
+            except OSError:
+                pass
+        (dest / rel).write_bytes(data)
+    return files
 
 
-def write_snapshot(tree: AssetTree, revision: int, out_dir: Path) -> Path:
-    """Mirror the asset tree to out/revisions/NNNN; idempotent."""
-    target = Path(out_dir) / "revisions" / f"{revision:04d}"
+def materialize_tree(tree: AssetTree, dest: Path) -> None:
+    _write_tree(tree, Path(dest))
+
+
+def write_snapshot(tree: AssetTree, revision: int, out_dir: Path,
+                   previous: Optional[dict[str, bytes]] = None) -> dict[str, bytes]:
+    """Mirror the asset tree to out/revisions/NNNN; idempotent.
+
+    `previous` is the render this function returned for revision N-1; every
+    file whose bytes it repeats is hard-linked from ``revisions/<N-1>``
+    instead of written again.  Returns this revision's render, relative path
+    -> bytes (as ``_tree_files`` gives it), for the next call.
+    """
+    revisions = Path(out_dir) / "revisions"
+    target = revisions / f"{revision:04d}"
     try:
         if target.exists():
             shutil.rmtree(target)
-        materialize_tree(tree, target)
+        return _write_tree(tree, target, previous, revisions / f"{revision - 1:04d}")
     except OSError as exc:
         raise SnapshotIoError(str(exc)) from exc
-    return target
 
 
 # -- ledger and meta-data files ----------------------------------------------
@@ -211,6 +238,11 @@ def _require_keys(lines: list[dict], keys: tuple[str, ...], what: str) -> None:
 
 # -- replay ------------------------------------------------------------------
 
+#: what an operation raises on ledger params of the wrong shape or type, such
+#: as a ref that does not parse; replay reports them as a divergence
+_MALFORMED_PARAMS = (LookupError, TypeError, ValueError, AttributeError)
+
+
 def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
     """Re-execute the ledger on top of revision 0, yielding every revision."""
     out_dir = Path(out_dir)
@@ -220,7 +252,7 @@ def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
         try:
             execute(tree, record["kind"], record["params"], record["op_id"],
                     adapter=adapter)
-        except EvogenError as exc:
+        except (EvogenError, *_MALFORMED_PARAMS) as exc:
             raise ReplayDivergence(i, f"{type(exc).__name__}: {exc}") from exc
         tree.revision += 1
         if tree.revision != record["revision_after"]:
@@ -245,9 +277,22 @@ class ValidationReport:
         return {"ok": self.ok, "violations": self.violations}
 
 
-def _dir_files(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+def _read_snapshot(root: Path) -> dict[str, bytes]:
+    """A stored snapshot read into memory with one walk: relative path ->
+    bytes of every file, as ``_tree_files`` renders a tree."""
+    files: dict[str, bytes] = {}
+
+    def walk(path: str, rel: str) -> None:
+        with os.scandir(path) as entries:
+            for entry in entries:
+                if entry.is_dir():
+                    walk(entry.path, f"{rel}{entry.name}/")
+                elif entry.is_file():
+                    with open(entry.path, "rb") as fh:
+                        files[rel + entry.name] = fh.read()
+
+    walk(str(root), "")
+    return files
 
 
 def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
@@ -262,21 +307,37 @@ def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
         yield from _ref_fields(sub)
 
 
-def _ref_checks(records: list[dict], trace_lines: list[dict]
-                ) -> dict[int, list[tuple]]:
+def _parse_asset_ref(text) -> Optional[AssetRef]:
+    try:
+        return AssetRef.from_text(text) if isinstance(text, str) else None
+    except ValueError:
+        return None
+
+
+def _ref_checks(records: list[dict], trace_lines: list[dict],
+                report: ValidationReport) -> dict[int, list[tuple]]:
     """Every ref the traces and the ledger name, keyed by the revision it must
-    resolve at, as (resolver, ref, where, message) in report order."""
+    resolve at, as (resolver, ref, where, message) in report order.  A ref
+    that does not parse is reported here as a ref-resolution violation."""
     checks: dict[int, list[tuple]] = {}
     for line in trace_lines:
         for key in ("source", "target"):
-            ref = AssetRef.from_text(line[key])
+            ref = _parse_asset_ref(line[key])
+            if ref is None:
+                report.add("ref-resolution", str(line["op"]),
+                           f"trace {key} {line[key]!r} does not parse")
+                continue
             checks.setdefault(ref.revision, []).append(
                 (resolve_asset_ref, ref, line["op"],
                  f"trace {key} {line[key]} does not resolve"))
     for record in records:
         for key, text in _ref_fields(record):
             if "!" not in text:
-                ref = AssetRef.from_text(text)
+                ref = _parse_asset_ref(text)
+                if ref is None:
+                    report.add("ref-resolution", str(record["op_id"]),
+                               f"{key} {text!r} does not parse")
+                    continue
                 revision, resolve = ref.revision, resolve_asset_ref
             elif record["kind"] == "RemoveFeature" or key == "feature":
                 continue  # feature may be gone after its own removal
@@ -291,7 +352,7 @@ def _ref_checks(records: list[dict], trace_lines: list[dict]
 def validate_history(out_dir: Path, adapter) -> ValidationReport:
     """Cross-check replay fidelity, ref resolvability, compilability and
     trace/mapping consistency of a generated history in one replay pass."""
-    from .minilang import check_snapshot_dir
+    from .minilang import check_snapshot_dir, snapshot_listings
     out_dir = Path(out_dir)
     report = ValidationReport()
     revisions_dir = out_dir / "revisions"
@@ -311,6 +372,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     try:
         records = read_ledger(out_dir)
         _require_keys(records, LEDGER_KEYS, "ledger")
+        for i, record in enumerate(records):
+            if not isinstance(record["params"], dict):
+                raise ReplayDivergence(i, "ledger line params is not an object")
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
@@ -322,10 +386,14 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         except ValueError as exc:
             report.add("ledger", "run.json", f"malformed run.json: {exc}")
         else:
-            committed = summary.get("summary", {}).get("committed_total")
-            if committed is not None and committed != len(records):
+            counts = summary.get("summary", {}) if isinstance(summary, dict) else None
+            if not isinstance(counts, dict):
                 report.add("ledger", "run.json",
-                           f"ledger has {len(records)} records, run.json says {committed}")
+                           "run.json or its summary is not an object")
+            elif counts.get("committed_total") not in (None, len(records)):
+                report.add("ledger", "run.json",
+                           f"ledger has {len(records)} records,"
+                           f" run.json says {counts['committed_total']}")
 
     try:
         stored_traces = _read_ndjson(out_dir / "traces.ndjson", "trace")
@@ -333,7 +401,8 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     except ReplayDivergence as exc:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
-    checks = _ref_checks(records, stored_traces)
+    checks = _ref_checks(records, stored_traces, report)
+    memo: dict = {}
 
     try:
         for revision, tree in replay_history(out_dir, adapter):
@@ -346,10 +415,14 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
             if not snap.is_dir():
                 report.add("replay", snap.name, "snapshot missing")
                 continue
-            if _tree_files(tree) != _dir_files(snap):
+            files = _read_snapshot(snap)
+            if _tree_files(tree) != files:
                 report.add("replay-fidelity", snap.name,
                            "replayed state differs from stored snapshot")
-            for problem in check_snapshot_dir(snap, adapter):
+            # one call per revision with the snapshot directory first: the
+            # benchmark's tracer counts repositories from that argument
+            for problem in check_snapshot_dir(snap, adapter,
+                                              snapshot_listings(files, adapter), memo):
                 report.add("compilability", snap.name, problem)
             state_path = out_dir / "features" / f"{revision:04d}.json"
             if not state_path.is_file():

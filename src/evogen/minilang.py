@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ManifestParseError
 from .model import (FILE, MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
@@ -257,14 +257,42 @@ def _in_repository(name: str, problems: list[str]) -> list[str]:
     return [f"{name}/{msg}" for msg in problems]
 
 
-# -- feeders: a materialized snapshot on disk, or the asset tree in memory ---
+#: repository name -> (listing, its problems) from the last check of that
+#: repository; valid across checks because ``check_listing`` is a pure
+#: function of the listing
+CheckMemo = dict[str, tuple[Listing, list[str]]]
+
+
+def check_listings(listings: Iterable[tuple[str, Listing]],
+                   adapter: MinilangAdapter,
+                   memo: Optional[CheckMemo] = None) -> list[str]:
+    """Problems of every (repository name, listing) pair, in the given order.
+
+    With a memo, a repository whose listing equals the one of its last check
+    reuses that check's problems instead of being checked again.
+    """
+    problems = []
+    for name, files in listings:
+        last = memo.get(name) if memo is not None else None
+        if last is not None and last[0] == files:
+            found = last[1]
+        else:
+            found = check_listing(files, adapter)
+            if memo is not None:
+                memo[name] = (files, found)
+        problems.extend(_in_repository(name, found))
+    return problems
+
+
+# -- feeders: a materialized snapshot on disk, the same snapshot's bytes, or
+# -- the asset tree in memory -------------------------------------------------
 
 def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
     return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
-def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
-    """Problems of one materialized repository, read with one walk."""
+def repository_dir_listing(repo_dir: Path, adapter: MinilangAdapter) -> Listing:
+    """The listing of one materialized repository, read with one walk."""
     files: Listing = {}
     for dirpath, _, filenames in os.walk(repo_dir):
         base = Path(dirpath).relative_to(repo_dir).parts
@@ -272,16 +300,40 @@ def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
             if _is_checked_file(adapter, name):
                 text = Path(dirpath, name).read_text(encoding="utf-8")
                 files[base + (name,)] = text.splitlines()
-    return check_listing(files, adapter)
+    return files
 
 
-def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter) -> list[str]:
-    """Check every repository of a materialized snapshot."""
-    problems = []
-    for repo_dir in sorted(p for p in Path(snapshot_dir).iterdir() if p.is_dir()):
-        problems.extend(_in_repository(repo_dir.name,
-                                       check_repository_dir(repo_dir, adapter)))
-    return problems
+def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
+    """Problems of one materialized repository."""
+    return check_listing(repository_dir_listing(repo_dir, adapter), adapter)
+
+
+def snapshot_listings(files: dict[str, bytes], adapter: MinilangAdapter
+                      ) -> list[tuple[str, Listing]]:
+    """(repository name, listing) of a snapshot read into memory as
+    snapshot-relative path -> bytes, in name order; equal to what
+    ``repository_dir_listing`` reads from each repository on disk."""
+    repos: dict[str, Listing] = {}
+    for rel, data in files.items():
+        repo, *parts = rel.split("/")
+        if parts:
+            listing = repos.setdefault(repo, {})
+            if _is_checked_file(adapter, parts[-1]):
+                listing[tuple(parts)] = data.decode("utf-8").splitlines()
+    return sorted(repos.items())
+
+
+def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
+                       listings: Optional[Iterable[tuple[str, Listing]]] = None,
+                       memo: Optional[CheckMemo] = None) -> list[str]:
+    """Check every repository of a materialized snapshot; `listings`, when
+    given, are the snapshot's repositories already read into memory (see
+    ``snapshot_listings``), and nothing is read from disk."""
+    if listings is None:
+        listings = ((p.name, repository_dir_listing(p, adapter))
+                    for p in sorted(p for p in Path(snapshot_dir).iterdir()
+                                    if p.is_dir()))
+    return check_listings(listings, adapter, memo)
 
 
 def _tree_listing(repo: AssetNode, adapter: MinilangAdapter) -> Listing:
@@ -301,11 +353,10 @@ def _tree_listing(repo: AssetNode, adapter: MinilangAdapter) -> Listing:
     return files
 
 
-def check_tree(tree: AssetTree, adapter: MinilangAdapter) -> list[str]:
+def check_tree(tree: AssetTree, adapter: MinilangAdapter,
+               memo: Optional[CheckMemo] = None) -> list[str]:
     """Check every repository of the tree in memory; equals
     ``check_snapshot_dir`` on a materialized copy of the tree."""
-    problems = []
-    for repo in sorted(tree.repositories, key=lambda r: r.name):
-        problems.extend(_in_repository(repo.name,
-                                       check_listing(_tree_listing(repo, adapter), adapter)))
-    return problems
+    return check_listings(((repo.name, _tree_listing(repo, adapter))
+                           for repo in sorted(tree.repositories, key=lambda r: r.name)),
+                          adapter, memo)

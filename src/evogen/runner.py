@@ -25,7 +25,8 @@ from .history import (append_ledger, append_traces, parse_initial_system,
                       write_feature_state, write_snapshot)
 # check_snapshot_dir is unused here, but perfbench/tracer.py patches
 # runner.check_snapshot_dir, so the binding stays until the benchmark drops it
-from .minilang import MinilangAdapter, check_snapshot_dir, check_tree  # noqa: F401
+from .minilang import (CheckMemo, MinilangAdapter, check_snapshot_dir,  # noqa: F401
+                       check_tree)
 from .model import AssetTree
 from .operations import Committed, run_in_transaction
 from .transplant import load_donor
@@ -131,7 +132,8 @@ def select_generator(distribution: dict[str, float], rng: random.Random) -> str:
 def make_checker(config: RunConfig, adapter) -> Callable[[AssetTree], list[str]]:
     """The compilability gate: problems of a tree, empty when it compiles."""
     if config.checker_kind == BUNDLED_CHECKER:
-        return lambda tree: check_tree(tree, adapter)
+        memo: CheckMemo = {}  # one per run: unchanged repositories are not re-checked
+        return lambda tree: check_tree(tree, adapter, memo)
     if config.checker_kind == EXTERNAL_CHECKER:
         if not config.checker_cmd:
             raise EvogenError("externalCommand checker needs checker.cmd")
@@ -231,7 +233,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
         raise BadDistribution(f"unknown generators: {sorted(unknown)}")
     terminated = parse_termination(config.termination)
 
-    write_snapshot(tree, 0, out_dir)
+    rendered = write_snapshot(tree, 0, out_dir)
     problems = checker(tree)
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
@@ -268,7 +270,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
                                             adapter=adapter)
                 if isinstance(result, Committed):
                     tree = result.tree
-                    write_snapshot(tree, tree.revision, out_dir)
+                    rendered = write_snapshot(tree, tree.revision, out_dir, rendered)
                     append_ledger(result.record.to_dict(), out_dir)
                     append_traces(tree.traces.traces[traces_persisted:], out_dir)
                     traces_persisted = len(tree.traces.traces)

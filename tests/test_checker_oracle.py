@@ -2,16 +2,18 @@
 
 On every attempt of seeded histories, rolled-back ones included, the problem
 list the bundled checker computes from the asset tree must equal
-``check_snapshot_dir`` on a materialized copy of the same tree.
+``check_snapshot_dir`` on a materialized copy of the same tree, and, since the
+checker reuses the problems of repositories whose listing did not change, it
+must also equal ``check_tree`` without a memo.
 """
 
 import shutil
 
 import pytest
 
-from evogen import runner
+from evogen import minilang, runner
 from evogen.history import materialize_tree
-from evogen.minilang import check_snapshot_dir
+from evogen.minilang import check_snapshot_dir, check_tree
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
 from conftest import write_donor, write_initial_system
@@ -41,21 +43,31 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_pat
     config.max_iterations = MIXES[mix]
     config.seed = 1
     verdicts: list[bool] = []
-    mismatches: list[tuple[list[str], list[str]]] = []
+    mismatches: list[tuple[list[str], ...]] = []
     make_checker = runner.make_checker
+    real_check_listing = minilang.check_listing
+    counts = {"listings checked": 0, "repositories": 0}
+
+    def counting_check_listing(files, adapter):
+        counts["listings checked"] += 1
+        return real_check_listing(files, adapter)
 
     def oracle_checker(config, adapter):
         in_memory = make_checker(config, adapter)
 
         def checker(tree):
+            monkeypatch.setattr(minilang, "check_listing", counting_check_listing)
             problems = in_memory(tree)
+            monkeypatch.setattr(minilang, "check_listing", real_check_listing)
+            counts["repositories"] += len(tree.repositories)
             snap = tmp_path / "snap"
             materialize_tree(tree, snap)
             on_disk = check_snapshot_dir(snap, adapter)
             shutil.rmtree(snap)
+            fresh = check_tree(tree, adapter)
             verdicts.append(not problems)
-            if problems != on_disk:
-                mismatches.append((problems, on_disk))
+            if not problems == on_disk == fresh:
+                mismatches.append((problems, on_disk, fresh))
             return problems
         return checker
 
@@ -63,5 +75,7 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_pat
     system, donors = corpus
     summary = run(config, system, donors, tmp_path / "out")
     assert mismatches == []
+    # the memo spared the repositories whose listing had not changed
+    assert 0 < counts["listings checked"] < counts["repositories"]
     assert verdicts.count(True) == summary.committed_total + 1  # + revision 0
     assert verdicts.count(False) > 0

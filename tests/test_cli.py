@@ -183,6 +183,61 @@ class TestValidate:
             ("trace-consistency",
              f"replay diverged at record {count}: trace line lacks {key}")]
 
+    def test_unparsable_trace_ref_is_a_ref_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        with open(out / "traces.ndjson", "a") as fh:
+            fh.write(json.dumps({"schema": 1, "op": "op0001", "source": "x",
+                                 "target": "1:/calc", "source_node": 1,
+                                 "target_node": 2}) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert {"kind": "ref-resolution", "where": "op0001",
+                "message": "trace source 'x' does not parse"} in report["violations"]
+
+    def test_unparsable_ledger_ref_is_a_ref_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["params"]["target"] = "junk"
+        lines[0] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert {"kind": "ref-resolution", "where": record["op_id"],
+                "message": "target 'junk' does not parse"} in report["violations"]
+        assert {v["kind"] for v in report["violations"]} == {"ref-resolution", "replay"}
+
+    @pytest.mark.parametrize("params", [[], "target", 7, None])
+    def test_ledger_params_not_an_object_is_a_ledger_violation(self, runner,
+                                                               tmp_path, params):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["params"] = params
+        lines[1] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["message"]) for v in report["violations"]] == [
+            ("ledger", "replay diverged at record 1: ledger line params is not an object")]
+
+    @pytest.mark.parametrize("payload", ["[]", "3", '"run"', "null",
+                                         '{"summary": []}'])
+    def test_run_json_not_an_object_is_a_ledger_violation(self, runner, tmp_path,
+                                                          payload):
+        _, out = generate_history(runner, tmp_path)
+        (out / "run.json").write_text(payload + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["where"], v["message"]) for v in report["violations"]] == [
+            ("ledger", "run.json", "run.json or its summary is not an object")]
+
     def test_tampered_history_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)
         victim = next((out / "revisions").glob("00*/calc/main.mini"))
@@ -221,6 +276,25 @@ class TestReplay:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "revisions/0000" in result.output
+
+    @pytest.mark.parametrize("target,error", [("junk", "ValueError"),
+                                              (5, "AttributeError"),
+                                              (None, "KeyError")])
+    def test_malformed_params_exit_one(self, runner, tmp_path, target, error):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        if target is None:
+            del record["params"]["target"]
+        else:
+            record["params"]["target"] = target
+        lines[0] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"replay diverged at record 0: {error}" in result.output
 
     def test_divergent_ledger_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)

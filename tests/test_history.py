@@ -1,18 +1,21 @@
 import json
+import os
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from evogen.errors import ReplayDivergence, SnapshotIoError
-from evogen.history import (feature_state, materialize_tree,
+from evogen.history import (_read_snapshot, feature_state, materialize_tree,
                             parse_initial_system, parse_snapshot, read_ledger,
                             replay_history, validate_history, write_snapshot)
-from evogen.minilang import MinilangAdapter
+from evogen.minilang import (MinilangAdapter, check_snapshot_dir,
+                             repository_dir_listing, snapshot_listings)
 from evogen.model import AssetTree, structurally_equal
 from evogen.refs import AssetRef
-from evogen.runner import RunConfig, run
+from evogen.runner import RunConfig, preset, run
 
 from conftest import (random_fs_tree, write_donor, write_initial_system)
 
@@ -200,3 +203,132 @@ class TestValidate:
         report = validate_history(history, adapter)
         kinds = {v["kind"] for v in report.violations}
         assert "compilability" in kinds
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _snapshots(out: Path) -> list[Path]:
+    return sorted((out / "revisions").iterdir())
+
+
+#: clone-heavy, so histories hold several repositories
+CLONE_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
+             "mutDelete": 0.15, "transplant": 0.30, "cloneVariant": 0.08,
+             "cloneFeature": 0.12}
+
+
+class TestIncrementalSnapshots:
+    """Unchanged snapshot files are hard links to revision N-1; the bytes of
+    every revision stay what a full write of the replayed tree gives."""
+
+    @pytest.mark.parametrize("mix,seed", [("growing-system", 4), ("clones", 1),
+                                          ("uniform-generators", 2)])
+    def test_snapshots_equal_full_writes_and_share_unchanged_files(
+            self, tmp_path, adapter, mix, seed):
+        system = write_initial_system(tmp_path / "in")
+        donors = [write_donor(tmp_path / "donors", f"donor{i}", tests=8)
+                  for i in range(2)]
+        config = RunConfig(distribution=CLONE_MIX) if mix == "clones" else preset(mix)
+        config.max_iterations, config.seed = 40, seed
+        out = tmp_path / "out"
+        run(config, system, donors, out)
+        previous: dict[str, tuple[bytes, int]] = {}
+        linked = written = 0
+        for revision, tree in replay_history(out, adapter):
+            full = tmp_path / "full"
+            materialize_tree(tree, full)
+            snap = out / "revisions" / f"{revision:04d}"
+            assert _files(snap) == _files(full), f"revision {revision}"
+            shutil.rmtree(full)
+            current = {rel: (data, (snap / rel).stat().st_ino)
+                       for rel, data in _files(snap).items()}
+            for rel, (data, inode) in current.items():
+                unchanged = rel in previous and previous[rel][0] == data
+                assert (rel in previous and previous[rel][1] == inode) == unchanged, \
+                    f"revision {revision}: {rel}"
+                linked += unchanged
+                written += not unchanged
+            previous = current
+        assert linked > written > 0
+
+    def test_failing_link_writes_identical_unlinked_files(self, tmp_path, monkeypatch):
+        system = write_initial_system(tmp_path / "in")
+        donors = [write_donor(tmp_path / "donors", "widget")]
+        config = RunConfig(max_iterations=20, seed=3)
+        run(config, system, donors, tmp_path / "linked")
+
+        def refuse(*args, **kwargs):
+            raise OSError("hard links not supported")
+        monkeypatch.setattr(os, "link", refuse)
+        run(config, system, donors, tmp_path / "copied")
+        assert _files(tmp_path / "copied") == _files(tmp_path / "linked")
+        assert all(p.stat().st_nlink == 1
+                   for p in (tmp_path / "copied").rglob("*") if p.is_file())
+        assert any(p.stat().st_nlink > 1
+                   for p in (tmp_path / "linked").rglob("*") if p.is_file())
+
+    def test_plain_copy_validates(self, history, adapter, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(history, copy)
+        assert all(p.stat().st_nlink == 1 for p in copy.rglob("*") if p.is_file())
+        report = validate_history(copy, adapter)
+        assert report.ok, report.violations
+
+    def test_tampered_linked_file_is_reported_where_it_is_shared(self, history,
+                                                                 adapter):
+        snaps = _snapshots(history)
+        # a file shared by some revisions but not all of them
+        for snap in snaps:
+            for victim in sorted(snap.rglob("*.mini")):
+                rel = victim.relative_to(snap)
+                inode = victim.stat().st_ino
+                sharing = {s.name for s in snaps
+                           if (s / rel).is_file() and (s / rel).stat().st_ino == inode}
+                if 1 < len(sharing) < len(snaps):
+                    break
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no file is shared by only some revisions")
+        with open(victim, "ab") as fh:
+            fh.write(b"tampered\n")
+        report = validate_history(history, adapter)
+        assert {v["where"] for v in report.violations
+                if v["kind"] == "replay-fidelity"} == sharing
+
+    def test_listings_from_bytes_equal_disk_listings(self, history, adapter):
+        memo: dict = {}
+        for snap in _snapshots(history):
+            files = _read_snapshot(snap)
+            assert files == _files(snap)
+            listings = snapshot_listings(files, adapter)
+            assert listings == [(p.name, repository_dir_listing(p, adapter))
+                                for p in sorted(snap.iterdir()) if p.is_dir()]
+            assert check_snapshot_dir(snap, adapter, listings, memo) == \
+                check_snapshot_dir(snap, adapter)
+
+    def test_listings_from_bytes_keep_line_breaks_of_disk_reads(self, tmp_path,
+                                                                adapter):
+        snap = tmp_path / "snap"
+        (snap / "repo" / "lib" / "deep").mkdir(parents=True)
+        (snap / "empty").mkdir()
+        contents = {
+            "repo/project.manifest": b"name: repo\r\nslices: lib\r\n",
+            "repo/main.mini": b"\xef\xbb\xbfdef main {\rimport lib.x\r\r\n}\n",
+            "repo/lib/x.mini": b"def x {\n}\x0c\n\xe2\x80\xa8tail",
+            "repo/lib/deep/empty.mini": b"",
+            "repo/lib/notes.txt": b"not checked\n",
+            "top.mini": b"def top {\n",
+        }
+        for rel, data in contents.items():
+            (snap / rel).write_bytes(data)
+        files = _read_snapshot(snap)
+        assert files == contents
+        assert dict(snapshot_listings(files, adapter)) == {
+            "repo": repository_dir_listing(snap / "repo", adapter)}
+        assert check_snapshot_dir(snap, adapter, snapshot_listings(files, adapter)) \
+            == check_snapshot_dir(snap, adapter)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from evogen import history
+from evogen import history, runner
 from evogen.errors import (BadDistribution, EvogenError, InvalidInitialSystem,
                            SnapshotIoError)
 from evogen.generators import GENERATOR_IDS
@@ -157,18 +157,23 @@ class TestRun:
         def refuse(*args, **kwargs):
             raise AssertionError("the bundled checker must not use temp dirs")
         monkeypatch.setattr(tempfile, "mkdtemp", refuse)
-        materialized = []
-        real = history.materialize_tree
+        calls = Counter()
 
-        def counting(tree, dest):
-            materialized.append(dest)
-            return real(tree, dest)
-        monkeypatch.setattr(history, "materialize_tree", counting)
+        def counting(name):
+            real = getattr(history, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(history, "materialize_tree", counting("materialize_tree"))
+        monkeypatch.setattr(runner, "write_snapshot", counting("write_snapshot"))
         out = tmp_path / "out"
         summary = run(small_run_config(), system, donors, out)
         assert summary.committed_total > 0
         assert sum(summary.rolled_back.values()) > 0
-        assert len(materialized) == summary.committed_total + 1
+        assert calls["write_snapshot"] == summary.committed_total + 1
+        assert calls["materialize_tree"] == 0
         assert "checkerError" not in (out / "debug.log").read_text()
 
     def test_same_seed_byte_identical(self, tmp_path):
