@@ -295,6 +295,21 @@ def _read_snapshot(root: Path) -> dict[str, bytes]:
     return files
 
 
+def _shape_problem(record: dict, where: str = "") -> Optional[str]:
+    """Why `_ref_fields` cannot read a ledger record, or None: its `params`
+    must be an object and its `sub_ops` a list of records of the same shape."""
+    if not isinstance(record.get("params", {}), dict):
+        return f"{where}params is not an object"
+    subs = record.get("sub_ops", [])
+    if not isinstance(subs, list) or not all(isinstance(sub, dict) for sub in subs):
+        return f"{where}sub_ops is not a list of objects"
+    for i, sub in enumerate(subs):
+        problem = _shape_problem(sub, f"{where}sub_ops[{i}].")
+        if problem:
+            return problem
+    return None
+
+
 def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
     params = record.get("params", {})
     for key in ("target", "source", "asset", "insertion_parent"):
@@ -373,8 +388,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         records = read_ledger(out_dir)
         _require_keys(records, LEDGER_KEYS, "ledger")
         for i, record in enumerate(records):
-            if not isinstance(record["params"], dict):
-                raise ReplayDivergence(i, "ledger line params is not an object")
+            problem = _shape_problem(record)
+            if problem:
+                raise ReplayDivergence(i, f"ledger line {problem}")
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
@@ -419,11 +435,15 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
             if _tree_files(tree) != files:
                 report.add("replay-fidelity", snap.name,
                            "replayed state differs from stored snapshot")
-            # one call per revision with the snapshot directory first: the
-            # benchmark's tracer counts repositories from that argument
-            for problem in check_snapshot_dir(snap, adapter,
-                                              snapshot_listings(files, adapter), memo):
-                report.add("compilability", snap.name, problem)
+            try:
+                listings = snapshot_listings(files, adapter)
+            except SnapshotIoError as exc:
+                report.add("compilability", snap.name, str(exc))
+            else:
+                # one call per revision with the snapshot directory first: the
+                # benchmark's tracer counts repositories from that argument
+                for problem in check_snapshot_dir(snap, adapter, listings, memo):
+                    report.add("compilability", snap.name, problem)
             state_path = out_dir / "features" / f"{revision:04d}.json"
             if not state_path.is_file():
                 report.add("layout", state_path.name, "feature state missing")

@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ManifestParseError
+from .errors import ManifestParseError, SnapshotIoError
 from .model import (FILE, MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
                     TestCandidate, flatten_lines)
 
@@ -312,14 +312,18 @@ def snapshot_listings(files: dict[str, bytes], adapter: MinilangAdapter
                       ) -> list[tuple[str, Listing]]:
     """(repository name, listing) of a snapshot read into memory as
     snapshot-relative path -> bytes, in name order; equal to what
-    ``repository_dir_listing`` reads from each repository on disk."""
+    ``repository_dir_listing`` reads from each repository on disk.  Raises
+    SnapshotIoError naming a checked file that is not UTF-8 text."""
     repos: dict[str, Listing] = {}
     for rel, data in files.items():
         repo, *parts = rel.split("/")
         if parts:
             listing = repos.setdefault(repo, {})
             if _is_checked_file(adapter, parts[-1]):
-                listing[tuple(parts)] = data.decode("utf-8").splitlines()
+                try:
+                    listing[tuple(parts)] = data.decode("utf-8").splitlines()
+                except UnicodeDecodeError as exc:
+                    raise SnapshotIoError(f"{rel}: not UTF-8 text") from exc
     return sorted(repos.items())
 
 

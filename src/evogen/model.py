@@ -10,7 +10,8 @@ nodes and assets map to features by name path within their repository's model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Iterator, Optional
 
 from .errors import SelfTrace, UnknownFeature, UnrelatedRepositories
 
@@ -261,11 +262,10 @@ class CloneTrace:
 
 
 class TraceDb:
-    """Append-only store of clone traces plus removal tombstones."""
+    """Append-only store of clone traces."""
 
     def __init__(self) -> None:
         self.traces: list[CloneTrace] = []
-        self.tombstones: dict[int, int] = {}  # node id -> revision removed at
 
     def add(self, trace: CloneTrace) -> CloneTrace:
         if trace.source_node == trace.target_node or trace.source_ref == trace.target_ref:
@@ -294,13 +294,9 @@ class TraceDb:
     def successors(self, node_id: int) -> list[int]:
         return [t.target_node for t in self.traces if t.source_node == node_id]
 
-    def tombstone(self, node_id: int, revision: int) -> None:
-        self.tombstones.setdefault(node_id, revision)
-
     def copy(self) -> "TraceDb":
         db = TraceDb()
         db.traces = list(self.traces)
-        db.tombstones = dict(self.tombstones)
         return db
 
 
@@ -315,10 +311,6 @@ class ManifestModel:
     deps: list[str] = field(default_factory=list)
     slices: list[str] = field(default_factory=list)
     extras: dict[str, str] = field(default_factory=dict)
-
-    def copy(self) -> "ManifestModel":
-        return ManifestModel(self.name, list(self.deps), list(self.slices),
-                             dict(self.extras))
 
 
 @dataclass
@@ -337,32 +329,22 @@ class TestCandidate:
 class DonorProject:
     """External project features are transplanted from.
 
-    The scan products (`files`, `test_candidates`, `module_deps`,
-    `external_uses`) are immutable for a run and shared between tree copies;
-    only the per-repository inclusion state is copied.
+    A donor holds only its scan products, which never change during a run,
+    so every copy of the tree shares the same donor objects.
     """
 
     id: str
-    root_path: str
     manifest: ManifestModel
     files: dict[str, tuple[str, ...]]
     test_candidates: list[TestCandidate]
     module_deps: dict[str, frozenset[str]]
     external_uses: dict[str, frozenset[str]]
-    included_in: dict[str, set[str]] = field(default_factory=dict)
 
     def candidate(self, test_id: str) -> Optional[TestCandidate]:
         for c in self.test_candidates:
             if c.id == test_id:
                 return c
         return None
-
-    def clone(self) -> "DonorProject":
-        twin = DonorProject(self.id, self.root_path, self.manifest, self.files,
-                            self.test_candidates, self.module_deps,
-                            self.external_uses)
-        twin.included_in = {k: set(v) for k, v in self.included_in.items()}
-        return twin
 
 
 # -- the tree ----------------------------------------------------------------
@@ -379,20 +361,16 @@ class AssetTree:
 
     def new_node(self, kind: str, name: str, content: Optional[list[str]] = None,
                  children: Optional[list[AssetNode]] = None) -> AssetNode:
-        node = AssetNode(kind, name, node_id=self._next_id, content=content,
+        return AssetNode(kind, name, node_id=self._take_id(), content=content,
                          children=children or [])
+
+    def _take_id(self) -> int:
         self._next_id += 1
-        return node
+        return self._next_id - 1
 
     def deep_copy_node(self, node: AssetNode) -> AssetNode:
         """Copy a subtree assigning fresh node ids (a genuine clone)."""
-        twin = self.new_node(node.kind, node.name,
-                             content=list(node.content) if node.content is not None else None)
-        twin.mapped_features = set(node.mapped_features)
-        if node.feature_model is not None:
-            twin.feature_model = node.feature_model.copy()
-        twin.children = [self.deep_copy_node(c) for c in node.children]
-        return twin
+        return _copy_node(node, lambda _original: self._take_id())
 
     # traversal
 
@@ -441,33 +419,25 @@ class AssetTree:
 
     # trace-based correspondence
 
-    def repositories_related(self, repo_a: AssetNode, repo_b: AssetNode) -> bool:
-        """True when a chain of repository clone traces connects the two."""
-        seen = {repo_a.node_id}
-        frontier = [repo_a.node_id]
-        while frontier:
-            cur = frontier.pop()
-            if cur == repo_b.node_id:
-                return True
-            for nxt in self.traces.neighbors(cur):
+    def _trace_reach(self, start: int, step: Callable[[int], list[int]]) -> Iterator[int]:
+        """Node ids reachable from `start` over `step` hops, `start` first,
+        then nearest first."""
+        seen = {start}
+        queue = [start]
+        for cur in queue:  # the queue grows while it is read: breadth-first
+            yield cur
+            for nxt in step(cur):
                 if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+                    queue.append(nxt)
+
+    def repositories_related(self, repo_a: AssetNode, repo_b: AssetNode) -> bool:
+        """True when a chain of repository clone traces connects the two."""
+        return repo_b.node_id in self._trace_reach(repo_a.node_id, self.traces.neighbors)
 
     def repository_descends_from(self, source: AssetNode, target: AssetNode) -> bool:
         """True when `target` was (transitively) cloned from `source`."""
-        seen = {source.node_id}
-        frontier = [source.node_id]
-        while frontier:
-            cur = frontier.pop()
-            if cur == target.node_id:
-                return cur != source.node_id or source is target
-            for nxt in self.traces.successors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+        return target.node_id in self._trace_reach(source.node_id, self.traces.successors)
 
     def corresponding_asset(self, node: AssetNode,
                             target_repo: AssetNode) -> Optional[AssetNode]:
@@ -480,16 +450,9 @@ class AssetTree:
         if source_repo is target_repo:
             return node
         present = {n.node_id: n for n in target_repo.iter_nodes()}
-        seen = {node.node_id}
-        frontier = [node.node_id]
-        while frontier:
-            cur = frontier.pop(0)
+        for cur in self._trace_reach(node.node_id, self.traces.neighbors):
             if cur in present:
                 return present[cur]
-            for nxt in self.traces.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
         return None
 
     # copying
@@ -497,21 +460,22 @@ class AssetTree:
     def clone(self) -> "AssetTree":
         twin = AssetTree.__new__(AssetTree)
         twin._next_id = self._next_id
-        twin.root = _copy_node_keep_ids(self.root)
+        twin.root = _copy_node(self.root, attrgetter("node_id"))
         twin.revision = self.revision
         twin.traces = self.traces.copy()
-        twin.donors = {k: d.clone() for k, d in self.donors.items()}
+        twin.donors = dict(self.donors)
         return twin
 
 
-def _copy_node_keep_ids(node: AssetNode) -> AssetNode:
-    twin = AssetNode(node.kind, node.name, node.node_id,
-                     content=list(node.content) if node.content is not None else None)
-    twin.mapped_features = set(node.mapped_features)
-    if node.feature_model is not None:
-        twin.feature_model = node.feature_model.copy()
-    twin.children = [_copy_node_keep_ids(c) for c in node.children]
-    return twin
+def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNode:
+    """Copy a subtree, each copy numbered `node_id(original)`.  Arguments are
+    evaluated left to right, so a parent is numbered before its children."""
+    return AssetNode(
+        node.kind, node.name, node_id(node),
+        None if node.content is None else list(node.content),
+        [_copy_node(c, node_id) for c in node.children],
+        set(node.mapped_features),
+        None if node.feature_model is None else node.feature_model.copy())
 
 
 def _feature_to_dict(feature: Feature) -> dict:

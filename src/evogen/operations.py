@@ -70,25 +70,15 @@ def detach_node(tree: AssetTree, node: AssetNode) -> None:
     trail[-2].children.remove(node)
 
 
-def slice_location(tree: AssetTree, repo: AssetNode,
-                   node: AssetNode) -> Optional[tuple[str, str]]:
-    """(donor id, donor-relative path) when `node` is a file inside a slice."""
+def slice_donor(tree: AssetTree, repo: AssetNode, node: AssetNode) -> Optional[str]:
+    """The donor id when `node` is a file inside a slice of `repo`."""
     trail = tree.path_to(node)
     if not trail:
         return None
     names = [n.name for n in trail[trail.index(repo) + 1:]]
     if len(names) >= 3 and names[0] == SLICES_DIR:
-        return names[1], "/".join(names[2:])
+        return names[1]
     return None
-
-
-def drop_donor_inclusion(tree: AssetTree, repo: AssetNode, node: AssetNode) -> None:
-    loc = slice_location(tree, repo, node)
-    if loc:
-        donor_id, rel = loc
-        donor = tree.donors.get(donor_id)
-        if donor and repo.name in donor.included_in:
-            donor.included_in[repo.name].discard(rel)
 
 
 def ensure_folder_path(tree: AssetTree, base: AssetNode, segments: list[str],
@@ -172,9 +162,6 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
         if not tree.contains(asset):  # ancestor already removed
             continue
         record.add_sub("RemoveAsset", {"asset": pre_refs[asset.node_id]})
-        drop_donor_inclusion(tree, repo, asset)
-        for node in asset.iter_nodes():
-            tree.traces.tombstone(node.node_id, rev_after)
         detach_node(tree, asset)
 
     for node, ref in repository_refs(tree, repo,
@@ -230,9 +217,6 @@ def apply_clone_variant(tree: AssetTree, params: dict, op_id: str,
     clone.name = new_name
     tree.root.children.append(clone)
     _record_subtree_traces(tree, source, clone, op_id, rev_after)
-    for donor in tree.donors.values():
-        if source.name in donor.included_in:
-            donor.included_in[new_name] = set(donor.included_in[source.name])
     return record
 
 
@@ -312,12 +296,8 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
             "index": index,
             "features": ["/".join(p) for p in mapped_paths]})
 
-        loc = slice_location(tree, tgt_repo, clone)
-        if loc and clone.kind == FILE:
-            donor_id, rel = loc
-            donor = tree.donors.get(donor_id)
-            if donor is not None:
-                donor.included_in.setdefault(tgt_repo.name, set()).add(rel)
+        donor_id = slice_donor(tree, tgt_repo, clone)
+        if donor_id and clone.kind == FILE:
             slice_dir = f"{SLICES_DIR}/{donor_id}"
             if slice_dir not in new_slice_dirs:
                 new_slice_dirs.append(slice_dir)

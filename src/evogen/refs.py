@@ -117,10 +117,6 @@ def resolve_asset_ref(tree: AssetTree, ref: AssetRef) -> AssetNode:
     return node
 
 
-def repo_path_of(tree: AssetTree, repo: AssetNode) -> str:
-    return make_asset_ref(tree, repo).fs_path
-
-
 def make_feature_lpq(model: FeatureModel, feature: Feature) -> tuple[str, ...]:
     """Shortest name-path suffix identifying `feature` uniquely in `model`."""
     paths = model.paths()
@@ -138,13 +134,6 @@ def make_feature_lpq(model: FeatureModel, feature: Feature) -> tuple[str, ...]:
     return target
 
 
-def resolve_lpq(model: FeatureModel, lpq: tuple[str, ...]) -> Feature:
-    matches = [p for p in model.paths() if p[-len(lpq):] == lpq]
-    if len(matches) != 1:
-        raise UnknownFeature("/".join(lpq))
-    return model.find(matches[0])
-
-
 def lpq_to_full_path(model: FeatureModel, lpq: tuple[str, ...]) -> tuple[str, ...]:
     matches = [p for p in model.paths() if p[-len(lpq):] == lpq]
     if len(matches) != 1:
@@ -152,10 +141,13 @@ def lpq_to_full_path(model: FeatureModel, lpq: tuple[str, ...]) -> tuple[str, ..
     return matches[0]
 
 
+def resolve_lpq(model: FeatureModel, lpq: tuple[str, ...]) -> Feature:
+    return model.find(lpq_to_full_path(model, lpq))
+
+
 def make_feature_ref(tree: AssetTree, repo: AssetNode, feature: Feature) -> FeatureRef:
     assert repo.feature_model is not None
-    return FeatureRef(repo_path_of(tree, repo),
-                      make_feature_lpq(repo.feature_model, feature))
+    return FeatureRef(f"/{repo.name}", make_feature_lpq(repo.feature_model, feature))
 
 
 def resolve_feature_ref(tree: AssetTree, ref: FeatureRef) -> tuple[AssetNode, Feature]:

@@ -76,8 +76,8 @@ def load_donor(path: Path, adapter) -> DonorProject:
     for rel in sorted(test_files):
         candidates.extend(adapter.scan_tests(rel, list(files[rel])))
 
-    return DonorProject(donor_id, str(path), manifest, files, candidates,
-                        module_deps, external_uses)
+    return DonorProject(donor_id, manifest, files, candidates, module_deps,
+                        external_uses)
 
 
 def _resolve_imports(adapter, lines, module_index, externals):
@@ -101,7 +101,6 @@ class Organ:
     """Everything needed to re-create a transplanted feature byte-identically."""
 
     donor_id: str
-    test: TestCandidate
     in_file_deps: list[str]              # the test file's import statements
     slice_files: dict[str, list[str]]    # donor src-relative path -> lines
     manifest_lines: list[str]            # adapted donor manifest, emitted
@@ -168,7 +167,6 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
     body = list(donor.files[candidate.file][candidate.body_start:candidate.body_end + 1])
     return Organ(
         donor_id=donor.id,
-        test=candidate,
         in_file_deps=list(candidate.imports),
         slice_files={src_rel(r): list(donor.files[r]) for r in sorted(slice_set)},
         manifest_lines=adapter.manifest_emit(fragment),
@@ -316,10 +314,6 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         record.add_sub("AddMapping", {
             "asset": refs[asset.node_id].at_revision(rev_after).to_text(),
             "features": ["/".join(feature_path)]})
-
-    donor = tree.donors.get(donor_id)
-    if donor is not None:
-        donor.included_in.setdefault(repo.name, set()).update(organ["slice_files"])
     return record
 
 

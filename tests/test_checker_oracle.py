@@ -1,18 +1,21 @@
-"""Oracle for the in-memory compilability gate.
+"""Oracles for the in-memory compilability gate and for transactions.
 
 On every attempt of seeded histories, rolled-back ones included, the problem
 list the bundled checker computes from the asset tree must equal
 ``check_snapshot_dir`` on a materialized copy of the same tree, and, since the
 checker reuses the problems of repositories whose listing did not change, it
-must also equal ``check_tree`` without a memo.
+must also equal ``check_tree`` without a memo.  On the same attempts,
+``run_in_transaction`` must leave its input tree as it found it.
 """
 
+import copy
 import shutil
 
 import pytest
 
 from evogen import minilang, runner
-from evogen.history import materialize_tree
+from evogen.history import _tree_files, feature_state, materialize_tree
+from evogen.operations import Committed
 from evogen.minilang import check_snapshot_dir, check_tree
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
@@ -79,3 +82,47 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_pat
     assert 0 < counts["listings checked"] < counts["repositories"]
     assert verdicts.count(True) == summary.committed_total + 1  # + revision 0
     assert verdicts.count(False) > 0
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
+                                                     monkeypatch):
+    config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
+    config.max_iterations = MIXES[mix]
+    config.seed = 1
+    real_run_in_transaction = runner.run_in_transaction
+    outcomes = {"committed": 0, "rolled back": 0}
+    changed: list[tuple[int, str]] = []
+
+    def state(tree):
+        return {"render": _tree_files(tree),
+                "feature state": feature_state(tree),
+                "traces": list(tree.traces.traces),
+                "donors": {k: copy.deepcopy(vars(d)) for k, d in tree.donors.items()}}
+
+    def same_objects(a, b):
+        return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+
+    def checked_transaction(tree, *args, **kwargs):
+        before = state(tree)
+        donors = dict(tree.donors)
+        result = real_run_in_transaction(tree, *args, **kwargs)
+        after = state(tree)
+        changed.extend((tree.revision, part) for part in before
+                       if before[part] != after[part])
+        if not same_objects(tree.donors, donors):
+            changed.append((tree.revision, "donor objects"))
+        if isinstance(result, Committed):
+            outcomes["committed"] += 1
+            if not same_objects(result.tree.donors, donors):
+                changed.append((tree.revision, "committed donors are copies"))
+        else:
+            outcomes["rolled back"] += 1
+        return result
+
+    monkeypatch.setattr(runner, "run_in_transaction", checked_transaction)
+    system, donors = corpus
+    summary = run(config, system, donors, tmp_path / "out")
+    assert changed == []
+    assert outcomes["committed"] == summary.committed_total
+    assert outcomes["rolled back"] > 0

@@ -226,6 +226,39 @@ class TestValidate:
         assert [(v["kind"], v["message"]) for v in report["violations"]] == [
             ("ledger", "replay diverged at record 1: ledger line params is not an object")]
 
+    @pytest.mark.parametrize("sub_ops,message", [
+        (5, "sub_ops is not a list of objects"),
+        ([5], "sub_ops is not a list of objects"),
+        ([{"params": "target"}], "sub_ops[0].params is not an object"),
+        ([{"params": {}, "sub_ops": [7]}], "sub_ops[0].sub_ops is not a list of objects"),
+    ])
+    def test_ledger_sub_ops_of_the_wrong_shape_is_a_ledger_violation(
+            self, runner, tmp_path, sub_ops, message):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["sub_ops"] = sub_ops
+        lines[1] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert [(v["kind"], v["message"]) for v in report["violations"]] == [
+            ("ledger", f"replay diverged at record 1: ledger line {message}")]
+
+    def test_snapshot_file_not_utf8_is_a_compilability_violation(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        victim = out / "revisions" / "0003" / "calc" / "main.mini"
+        victim.unlink()  # snapshot files may be hard links shared by revisions
+        victim.write_bytes(b"\xff\xfe junk")
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert {"kind": "compilability", "where": "0003",
+                "message": "calc/main.mini: not UTF-8 text"} in report["violations"]
+        assert {v["where"] for v in report["violations"]} == {"0003"}
+
     @pytest.mark.parametrize("payload", ["[]", "3", '"run"', "null",
                                          '{"summary": []}'])
     def test_run_json_not_an_object_is_a_ledger_violation(self, runner, tmp_path,

@@ -41,8 +41,6 @@ class TestRemoveFeature:
         kinds = [s.kind for s in record.sub_ops]
         assert kinds.count("RemoveAsset") == 1
         assert kinds.count("RemoveMapping") == 1
-        # removed asset is tombstoned for the trace db
-        assert tree.traces.tombstones
 
     def test_remove_root_raises(self):
         tree = AssetTree()
