@@ -111,12 +111,16 @@ def _write_tree(tree: AssetTree, dest: Path,
                 link_dir: Optional[Path] = None) -> dict[str, bytes]:
     """Write the tree's snapshot under `dest` and return its render.  A file
     whose bytes equal ``previous[rel]`` becomes a hard link to
-    ``link_dir/rel``, or is written when linking fails."""
+    ``link_dir/rel``, or is written when linking fails.  With `previous`,
+    the files of a repository the tree still shares are not rendered: their
+    bytes are taken from `previous`."""
     dest.mkdir(parents=True, exist_ok=True)
+    clean = tree.shared if previous is not None else ()
     files: dict[str, bytes] = {}
     for rel, node in _fs_nodes(tree):
         if node.kind == FILE:
-            files[rel] = _file_bytes(node)
+            files[rel] = (previous[rel] if rel.partition("/")[0] in clean
+                          else _file_bytes(node))
         else:
             (dest / rel).mkdir(parents=True, exist_ok=True)
     for rel, data in files.items():
@@ -138,10 +142,14 @@ def write_snapshot(tree: AssetTree, revision: int, out_dir: Path,
                    previous: Optional[dict[str, bytes]] = None) -> dict[str, bytes]:
     """Mirror the asset tree to out/revisions/NNNN; idempotent.
 
-    `previous` is the render this function returned for revision N-1; every
-    file whose bytes it repeats is hard-linked from ``revisions/<N-1>``
-    instead of written again.  Returns this revision's render, relative path
-    -> bytes (as ``_tree_files`` gives it), for the next call.
+    `previous` is the render this function returned for revision N-1, and
+    the tree's ``shared`` then names the repositories unchanged since that
+    revision (see ``operations.run_in_transaction``; call this before the
+    tree is cloned again, which resets ``shared``): their files are taken
+    from `previous` without rendering.  Every file whose bytes `previous`
+    repeats is hard-linked from ``revisions/<N-1>`` instead of written
+    again.  Returns this revision's render, relative path -> bytes (as
+    ``_tree_files`` gives it), for the next call.
     """
     revisions = Path(out_dir) / "revisions"
     target = revisions / f"{revision:04d}"
@@ -184,28 +192,64 @@ def append_traces(traces: list, out_dir: Path) -> None:
         raise LedgerIoError(str(exc)) from exc
 
 
+def _repo_state(tree: AssetTree, repo: AssetNode) -> dict:
+    """One repository's entry in the feature state: its feature model and
+    the features of every mapped asset, sorted by asset ref."""
+    mappings = [{"asset": ref.to_text(),
+                 "features": sorted("/".join(p) for p in node.mapped_features)}
+                for node, ref in repository_refs(
+                    tree, repo, lambda n: n.mapped_features)]
+    mappings.sort(key=lambda m: m["asset"])
+    return {
+        "model": _feature_to_dict(repo.feature_model.root)
+        if repo.feature_model else None,
+        "mappings": mappings,
+    }
+
+
 def feature_state(tree: AssetTree) -> dict:
-    repos = {}
+    return {"schema": SCHEMA_VERSION, "revision": tree.revision,
+            "repos": {repo.name: _repo_state(tree, repo)
+                      for repo in tree.repositories}}
+
+
+#: what every mapped asset's ref starts with in a repository's fragment
+_ASSET_AT = '"asset": "{}:'
+
+
+def write_feature_state(tree: AssetTree, out_dir: Path,
+                        previous: Optional[dict[str, list[str]]] = None
+                        ) -> dict[str, list[str]]:
+    """Write ``features/NNNN.json``, the bytes of
+    ``json.dumps(feature_state(tree), sort_keys=True, indent=1) + "\\n"``.
+
+    Each repository's entry is encoded on its own as a fragment: its JSON
+    text, indented to its place in the file and split where a mapped
+    asset's ref names the revision.  `previous` is what this function
+    returned for revision N-1, and the tree's ``shared`` then names the
+    repositories unchanged since that revision, as for ``write_snapshot``:
+    they reuse its fragments, which differ only in that revision.  Returns the fragments by
+    repository name, for the next call.
+    """
+    at = _ASSET_AT.format(tree.revision)
+    clean = tree.shared if previous is not None else ()
+    fragments: dict[str, list[str]] = {}
     for repo in tree.repositories:
-        mappings = [{"asset": ref.to_text(),
-                     "features": sorted("/".join(p) for p in node.mapped_features)}
-                    for node, ref in repository_refs(
-                        tree, repo, lambda n: n.mapped_features)]
-        mappings.sort(key=lambda m: m["asset"])
-        repos[repo.name] = {
-            "model": _feature_to_dict(repo.feature_model.root)
-            if repo.feature_model else None,
-            "mappings": mappings,
-        }
-    return {"schema": SCHEMA_VERSION, "revision": tree.revision, "repos": repos}
-
-
-def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
+        if repo.name in clean:
+            fragments[repo.name] = previous[repo.name]
+        else:
+            entry = json.dumps(_repo_state(tree, repo), sort_keys=True, indent=1)
+            fragments[repo.name] = entry.replace("\n", "\n  ").split(at)
+    entries = ",".join(f"\n  {json.dumps(name)}: {at.join(pieces)}"
+                       for name, pieces in sorted(fragments.items()))
+    repos = f"{{{entries}\n }}" if entries else "{}"
+    text = (f'{{\n "repos": {repos},\n "revision": {tree.revision},'
+            f'\n "schema": {SCHEMA_VERSION}\n}}\n')
     features_dir = Path(out_dir) / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
     path = features_dir / f"{tree.revision:04d}.json"
-    path.write_text(json.dumps(feature_state(tree), sort_keys=True, indent=1)
-                    + "\n", encoding="utf-8", newline="\n")
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return fragments
 
 
 def _read_ndjson(path: Path, what: str) -> list[dict]:

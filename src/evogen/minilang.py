@@ -291,20 +291,33 @@ def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
     return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
+def _text_lines(rel: str, data: bytes) -> list[str]:
+    """Lines of a checked file's bytes.  Raises SnapshotIoError naming the
+    file by its snapshot-relative path `rel` when they are not UTF-8 text."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SnapshotIoError(f"{rel}: not UTF-8 text") from exc
+
+
 def repository_dir_listing(repo_dir: Path, adapter: MinilangAdapter) -> Listing:
-    """The listing of one materialized repository, read with one walk."""
+    """The listing of one materialized repository, read with one walk.
+    Raises SnapshotIoError naming a checked file that is not UTF-8 text."""
     files: Listing = {}
+    repo = Path(repo_dir).name
     for dirpath, _, filenames in os.walk(repo_dir):
         base = Path(dirpath).relative_to(repo_dir).parts
         for name in filenames:
             if _is_checked_file(adapter, name):
-                text = Path(dirpath, name).read_text(encoding="utf-8")
-                files[base + (name,)] = text.splitlines()
+                parts = base + (name,)
+                files[parts] = _text_lines("/".join((repo,) + parts),
+                                           Path(dirpath, name).read_bytes())
     return files
 
 
 def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
-    """Problems of one materialized repository."""
+    """Problems of one materialized repository; raises SnapshotIoError on a
+    checked file that is not UTF-8 text."""
     return check_listing(repository_dir_listing(repo_dir, adapter), adapter)
 
 
@@ -320,10 +333,7 @@ def snapshot_listings(files: dict[str, bytes], adapter: MinilangAdapter
         if parts:
             listing = repos.setdefault(repo, {})
             if _is_checked_file(adapter, parts[-1]):
-                try:
-                    listing[tuple(parts)] = data.decode("utf-8").splitlines()
-                except UnicodeDecodeError as exc:
-                    raise SnapshotIoError(f"{rel}: not UTF-8 text") from exc
+                listing[tuple(parts)] = _text_lines(rel, data)
     return sorted(repos.items())
 
 
@@ -332,7 +342,8 @@ def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
                        memo: Optional[CheckMemo] = None) -> list[str]:
     """Check every repository of a materialized snapshot; `listings`, when
     given, are the snapshot's repositories already read into memory (see
-    ``snapshot_listings``), and nothing is read from disk."""
+    ``snapshot_listings``), and nothing is read from disk.  Raises
+    SnapshotIoError on a checked file that is not UTF-8 text."""
     if listings is None:
         listings = ((p.name, repository_dir_listing(p, adapter))
                     for p in sorted(p for p in Path(snapshot_dir).iterdir()

@@ -273,15 +273,6 @@ class TraceDb:
         self.traces.append(trace)
         return trace
 
-    def by_op(self, op_id: str) -> list[CloneTrace]:
-        return [t for t in self.traces if t.op_id == op_id]
-
-    def by_source(self, node_id: int) -> list[CloneTrace]:
-        return [t for t in self.traces if t.source_node == node_id]
-
-    def by_target(self, node_id: int) -> list[CloneTrace]:
-        return [t for t in self.traces if t.target_node == node_id]
-
     def neighbors(self, node_id: int) -> list[int]:
         out = []
         for t in self.traces:
@@ -356,6 +347,9 @@ class AssetTree:
         self.revision = 0
         self.traces = TraceDb()
         self.donors: dict[str, DonorProject] = {}
+        #: names of the repositories this tree may share with its copies; see
+        #: ``clone`` and ``own``
+        self.shared: set[str] = set()
 
     # construction
 
@@ -458,13 +452,42 @@ class AssetTree:
     # copying
 
     def clone(self) -> "AssetTree":
+        """A copy of the tree that shares every repository node with it.
+
+        Only the root node and its child list are copied.  Afterwards both
+        trees name all repositories in ``shared``, and neither may change a
+        shared repository in place: whoever writes to repository ``name``
+        calls ``own(name)`` first and then looks up every node it changes
+        anew, since nodes found before that belong to the shared copy.
+        """
         twin = AssetTree.__new__(AssetTree)
         twin._next_id = self._next_id
-        twin.root = _copy_node(self.root, attrgetter("node_id"))
+        twin.root = AssetNode(self.root.kind, self.root.name, self.root.node_id,
+                              children=list(self.root.children))
         twin.revision = self.revision
         twin.traces = self.traces.copy()
         twin.donors = dict(self.donors)
+        self.shared = twin.shared = {repo.name for repo in self.repositories}
         return twin
+
+    def own(self, name) -> None:
+        """Make repository `name` this tree's own before it is changed.
+
+        While `name` is shared (see ``clone``), the repository is replaced in
+        this tree by a copy with the same node ids, so traces, refs and
+        ``corresponding_asset`` still match, and the name leaves this tree's
+        ``shared`` only; a copy that shares the set is not affected.  Any
+        other name, a malformed one included, is left alone: this never
+        raises, so a bad ref fails where it is resolved.
+        """
+        if not isinstance(name, str) or name not in self.shared:
+            return
+        children = self.root.children
+        for i, child in enumerate(children):
+            if child.kind == REPOSITORY and child.name == name:
+                children[i] = _copy_node(child, attrgetter("node_id"))
+                break
+        self.shared = self.shared - {name}
 
 
 def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNode:

@@ -63,6 +63,11 @@ class OperationRecord:
 
 # -- shared helpers ----------------------------------------------------------
 
+def _repository_name(fs_path: str) -> str:
+    """Name of the repository an asset ref's filesystem path lies in."""
+    return fs_path.strip("/").split("/")[0]
+
+
 def detach_node(tree: AssetTree, node: AssetNode) -> None:
     trail = tree.path_to(node)
     if not trail or len(trail) < 2:
@@ -144,6 +149,7 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
     record = OperationRecord(op_id, "RemoveFeature", dict(params),
                              tree.revision, rev_after)
     ref = FeatureRef.from_text(params["feature"])
+    tree.own(_repository_name(ref.repo_path))
     repo, feature = resolve_feature_ref(tree, ref)
     assert repo.feature_model is not None
     feature_path = lpq_to_full_path(repo.feature_model, ref.lpq)
@@ -182,7 +188,9 @@ def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
                        adapter=None) -> OperationRecord:
     record = OperationRecord(op_id, "MutateAsset", dict(params),
                              tree.revision, tree.revision + 1)
-    target = resolve_asset_ref(tree, AssetRef.from_text(params["target"]))
+    ref = AssetRef.from_text(params["target"])
+    tree.own(_repository_name(ref.fs_path))
+    target = resolve_asset_ref(tree, ref)
     if target.kind != FILE or target.name == MANIFEST_NAME:
         raise NotMutable(target.name)
     kind = params["mutation"]
@@ -227,6 +235,7 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "CloneFeature", dict(params),
                              tree.revision, rev_after)
+    tree.own(params.get("target_repo"))
     src_repo = tree.find_repository(params["source_repo"])
     tgt_repo = tree.find_repository(params["target_repo"])
     if src_repo is None or tgt_repo is None or not tree.repositories_related(src_repo, tgt_repo):
@@ -395,7 +404,11 @@ def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,
     """Apply a candidate on a scratch copy, gate it on the checker.
 
     Returns Committed (with the new tree at revision + 1) or RolledBack; the
-    input tree is never touched.
+    input tree is never touched.  The scratch copy shares every repository
+    with the input tree, and each handler calls ``scratch.own(name)`` for
+    the repository it changes before it resolves any ref into it; so a
+    committed tree's ``shared`` names the repositories that are unchanged
+    since the input tree's revision.
     """
     scratch = tree.clone()
     try:

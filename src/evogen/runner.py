@@ -237,7 +237,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
     problems = checker(tree)
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
-    write_feature_state(tree, out_dir)
+    states = write_feature_state(tree, out_dir)
     debug_path = out_dir / "debug.log"
     debug = open(debug_path, "w", encoding="utf-8", newline="\n")
 
@@ -274,7 +274,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
                     append_ledger(result.record.to_dict(), out_dir)
                     append_traces(tree.traces.traces[traces_persisted:], out_dir)
                     traces_persisted = len(tree.traces.traces)
-                    write_feature_state(tree, out_dir)
+                    states = write_feature_state(tree, out_dir, states)
                     summary.committed[gen_id] = summary.committed.get(gen_id, 0) + 1
                     committed = True
                     break

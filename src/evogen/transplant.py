@@ -212,6 +212,7 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "TransplantFeature", dict(params),
                              tree.revision, rev_after)
+    tree.own(params.get("repo"))
     repo = tree.find_repository(params["repo"])
     if repo is None or repo.feature_model is None:
         raise EvogenError(f"unknown repository {params['repo']!r}")

@@ -5,7 +5,9 @@ list the bundled checker computes from the asset tree must equal
 ``check_snapshot_dir`` on a materialized copy of the same tree, and, since the
 checker reuses the problems of repositories whose listing did not change, it
 must also equal ``check_tree`` without a memo.  On the same attempts,
-``run_in_transaction`` must leave its input tree as it found it.
+``run_in_transaction`` must leave its input tree as it found it, and its
+scratch copy must share every repository it did not ``own`` with the input
+tree and hold a separate copy, with the same node ids, of the one it did.
 """
 
 import copy
@@ -13,7 +15,7 @@ import shutil
 
 import pytest
 
-from evogen import minilang, runner
+from evogen import minilang, model, runner
 from evogen.history import _tree_files, feature_state, materialize_tree
 from evogen.operations import Committed
 from evogen.minilang import check_snapshot_dir, check_tree
@@ -91,8 +93,32 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
     config.max_iterations = MIXES[mix]
     config.seed = 1
     real_run_in_transaction = runner.run_in_transaction
+    real_clone = model.AssetTree.clone
     outcomes = {"committed": 0, "rolled back": 0}
     changed: list[tuple[int, str]] = []
+    copies: list[model.AssetTree] = []
+    owned_count = 0
+
+    def recording_clone(tree):
+        copies.append(real_clone(tree))
+        return copies[-1]
+
+    def check_sharing(tree, scratch):
+        """Repositories the attempt did not own are the input tree's own
+        objects; an owned one is a separate copy of the same nodes."""
+        owned = {r.name for r in tree.repositories} - scratch.shared
+        if len(owned) > 1:
+            changed.append((tree.revision, f"owned {sorted(owned)}"))
+        for repo in tree.repositories:
+            mine = scratch.find_repository(repo.name)
+            if repo.name not in owned:
+                if mine is not repo:
+                    changed.append((tree.revision, f"{repo.name} copied unowned"))
+            elif mine is repo or mine.node_id != repo.node_id or (
+                    {id(n) for n in mine.iter_nodes()}
+                    & {id(n) for n in repo.iter_nodes()}):
+                changed.append((tree.revision, f"{repo.name} owned but shared"))
+        return len(owned)
 
     def state(tree):
         return {"render": _tree_files(tree),
@@ -104,10 +130,14 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
         return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
 
     def checked_transaction(tree, *args, **kwargs):
+        nonlocal owned_count
         before = state(tree)
         donors = dict(tree.donors)
+        copies.clear()
         result = real_run_in_transaction(tree, *args, **kwargs)
         after = state(tree)
+        assert len(copies) == 1
+        owned_count += check_sharing(tree, copies[0])
         changed.extend((tree.revision, part) for part in before
                        if before[part] != after[part])
         if not same_objects(tree.donors, donors):
@@ -121,8 +151,10 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
         return result
 
     monkeypatch.setattr(runner, "run_in_transaction", checked_transaction)
+    monkeypatch.setattr(model.AssetTree, "clone", recording_clone)
     system, donors = corpus
     summary = run(config, system, donors, tmp_path / "out")
     assert changed == []
     assert outcomes["committed"] == summary.committed_total
     assert outcomes["rolled back"] > 0
+    assert owned_count > 0

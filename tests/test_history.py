@@ -10,14 +10,16 @@ import pytest
 from evogen.errors import ReplayDivergence, SnapshotIoError
 from evogen.history import (_read_snapshot, feature_state, materialize_tree,
                             parse_initial_system, parse_snapshot, read_ledger,
-                            replay_history, validate_history, write_snapshot)
+                            replay_history, validate_history,
+                            write_feature_state, write_snapshot)
 from evogen.minilang import (MinilangAdapter, check_snapshot_dir,
                              repository_dir_listing, snapshot_listings)
-from evogen.model import AssetTree, structurally_equal
+from evogen.model import AssetTree, Feature, structurally_equal
 from evogen.refs import AssetRef
-from evogen.runner import RunConfig, preset, run
+from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
-from conftest import (random_fs_tree, write_donor, write_initial_system)
+from conftest import (build_repo, random_fs_tree, write_donor,
+                      write_initial_system)
 
 
 @pytest.fixture
@@ -332,3 +334,72 @@ class TestIncrementalSnapshots:
             "repo": repository_dir_listing(snap / "repo", adapter)}
         assert check_snapshot_dir(snap, adapter, snapshot_listings(files, adapter)) \
             == check_snapshot_dir(snap, adapter)
+
+
+def _full_feature_state(tree: AssetTree) -> bytes:
+    return (json.dumps(feature_state(tree), sort_keys=True, indent=1)
+            + "\n").encode("utf-8")
+
+
+class TestFeatureStateBytes:
+    """``features/NNNN.json`` is assembled from per-repository fragments, and
+    a repository unchanged since revision N-1 reuses that revision's; the
+    bytes stay those of one ``json.dumps`` of the tree's feature state."""
+
+    @pytest.mark.parametrize("mix", [*PRESET_NAMES, "variants"])
+    def test_every_revision_equals_a_full_dump(self, tmp_path, adapter, mix):
+        system = write_initial_system(tmp_path / "in")
+        donors = [write_donor(tmp_path / "donors", f"donor{i}", tests=12, modules=4)
+                  for i in range(2)]
+        config = RunConfig(distribution=CLONE_MIX) if mix == "variants" else preset(mix)
+        config.max_iterations = 50 if mix == "variants" else 120
+        config.seed = 1
+        out = tmp_path / "out"
+        run(config, system, donors, out)
+        most_repositories = 0
+        for revision, tree in replay_history(out, adapter):
+            stored = (out / "features" / f"{revision:04d}.json").read_bytes()
+            assert stored == _full_feature_state(tree), f"revision {revision}"
+            most_repositories = max(most_repositories, len(tree.repositories))
+        if mix == "variants":
+            assert most_repositories > 2
+
+    def test_no_repositories(self, tmp_path):
+        tree = AssetTree()
+        write_feature_state(tree, tmp_path)
+        assert (tmp_path / "features" / "0000.json").read_bytes() == \
+            _full_feature_state(tree)
+
+    def test_awkward_text_and_reused_fragments(self, tmp_path):
+        names = ["caf\u00e9 \u4e2d\U0001f600", 'say "hi" \\ back', "tab\there\x01\x1f\x7f",
+                 '"asset": "3:/r#0', '"asset": "4:', "line\nbreak\u2028"]
+        tree = AssetTree()
+        repos = [build_repo(tree, name, {"a.mini": ["x"], "d/b.mini": ["y"]})
+                 for name in ("plain", 'qu"ote \u00fc', "zz")]
+        for repo in repos:
+            repo.feature_model.root.children = [Feature(n, f"op {n}") for n in names]
+            for node, chosen in zip(repo.iter_nodes(), (names[:2], names[2:], names)):
+                node.mapped_features = {(repo.name, n) for n in chosen}
+        tree.revision = 3
+
+        def check(tree, previous=None):
+            fragments = write_feature_state(tree, tmp_path, previous)
+            path = tmp_path / "features" / f"{tree.revision:04d}.json"
+            assert path.read_bytes() == _full_feature_state(tree)
+            return fragments
+
+        first = check(tree)
+        # one repository changes, the other two are reused
+        twin = tree.clone()
+        twin.own("zz")
+        twin.find_repository("zz").children[0].mapped_features = {("zz", names[3])}
+        twin.revision += 1
+        second = check(twin, first)
+        assert second["plain"] is first["plain"]
+        assert second["zz"] is not first["zz"]
+        # nothing changes; revision 9 to 10 changes the prefix length
+        for _ in range(6):
+            twin = twin.clone()
+            twin.revision += 1
+            second = check(twin, second)
+        assert twin.revision == 10

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from evogen.errors import ManifestParseError
-from evogen.history import materialize_tree, parse_snapshot
+from evogen.errors import ManifestParseError, SnapshotIoError
+from evogen.history import _read_snapshot, materialize_tree, parse_snapshot
 from evogen.minilang import (MinilangAdapter, check_listing,
                              check_repository_dir, check_snapshot_dir,
-                             check_tree)
+                             check_tree, snapshot_listings)
 from evogen.model import AssetTree, ManifestModel
 
 from conftest import build_repo, write_initial_system
@@ -260,6 +260,18 @@ class TestCheckerFixes:
         problems = check_snapshot_dir(snap, mini)
         assert problems == ["calc/main.mini: unresolved 'import util2'"]
         assert check_tree(parse_snapshot(snap), mini) == problems
+
+    def test_checked_file_that_is_not_utf8_is_one_error_from_every_feeder(
+            self, tmp_path, mini):
+        repo = write_initial_system(tmp_path)
+        (repo / "main.mini").write_bytes(b"def main {\n\xff\xfe\n}\n")
+        (repo / "notes.txt").write_bytes(b"\xff not checked\n")
+        message = "calc/main.mini: not UTF-8 text"
+        for feed in (lambda: snapshot_listings(_read_snapshot(tmp_path), mini),
+                     lambda: check_snapshot_dir(tmp_path, mini),
+                     lambda: check_repository_dir(repo, mini)):
+            with pytest.raises(SnapshotIoError, match=message):
+                feed()
 
     def test_problem_in_a_file_named_like_its_repository_names_the_repository(
             self, tmp_path, mini):

@@ -3,13 +3,20 @@ import random
 import pytest
 
 from evogen import model
-from evogen.errors import SelfTrace, UnknownFeature, UnrelatedRepositories
+from evogen.errors import (EvogenError, SelfTrace, UnknownFeature,
+                           UnrelatedRepositories)
+from evogen.generators import GENERATOR_IDS, GenContext, generate
+from evogen.history import _tree_files, feature_state, parse_initial_system
+from evogen.minilang import MinilangAdapter
 from evogen.model import (AssetTree, CloneTrace, Feature, FeatureModel, FILE,
                           feature_exclusive_assets, flatten_lines,
                           structurally_equal)
+from evogen.operations import execute
 from evogen.refs import make_asset_ref
+from evogen.transplant import load_donor
 
-from conftest import build_repo, random_fs_tree
+from conftest import (build_repo, random_fs_tree, write_donor,
+                      write_initial_system)
 
 
 def mapped(repo, path, *features):
@@ -79,9 +86,10 @@ class TestTraces:
         tree = AssetTree()
         tree.traces.add(CloneTrace("op1", "0:/a", "0:/b", 1, 2))
         tree.traces.add(CloneTrace("op2", "0:/b", "0:/c", 2, 3))
-        assert len(tree.traces.by_op("op1")) == 1
-        assert tree.traces.by_source(2)[0].target_node == 3
-        assert tree.traces.by_target(2)[0].source_node == 1
+        traces = tree.traces.traces
+        assert [t.op_id for t in traces if t.op_id == "op1"] == ["op1"]
+        assert [t.target_node for t in traces if t.source_node == 2] == [3]
+        assert [t.source_node for t in traces if t.target_node == 2] == [1]
 
     def test_transitive_chain_reachability(self):
         # R1 -> R2 -> R3; brute-force reachability over the trace graph
@@ -196,3 +204,63 @@ class TestSerialization:
         # mutating the copy leaves the original untouched
         twin.root.children.clear()
         assert tree.root.children
+
+
+class TestCopyOnWrite:
+    def test_execute_on_either_copy_leaves_the_other_unchanged(self, tmp_path):
+        """Random histories where every step executes one drawn operation on
+        the original or on a fresh clone: the side that did not execute keeps
+        its render and feature state, failed operations included."""
+        adapter = MinilangAdapter()
+        tree = parse_initial_system(write_initial_system(tmp_path / "in"))
+        donor = load_donor(write_donor(tmp_path / "donors", "d", tests=12,
+                                       modules=4), adapter)
+        tree.donors[donor.id] = donor
+        ctx = GenContext(adapter=adapter, sensibility_discard_prob=0.0)
+        rng = random.Random(3)
+        applied: set[tuple[str, str]] = set()
+        for step in range(300):
+            twin = tree.clone()
+            assert twin.shared == tree.shared == {r.name for r in tree.repositories}
+            side, other = (twin, tree) if step % 2 else (tree, twin)
+            candidate = generate(rng.choice(GENERATOR_IDS), side, rng, ctx)
+            if candidate is None:
+                continue
+            if candidate.kind == "TransplantFeature":
+                ctx.consumed.add((candidate.params["donor"],
+                                  candidate.params["test_id"]))
+            before = (_tree_files(other), feature_state(other))
+            try:
+                execute(side, candidate.kind, candidate.params, f"op{step}",
+                        adapter=adapter)
+                ok = True
+            except EvogenError:
+                ok = False
+            assert (_tree_files(other), feature_state(other)) == before, \
+                f"step {step}: {candidate.kind} on the {'clone' if side is twin else 'original'}"
+            if ok:
+                applied.add((candidate.kind, "clone" if side is twin else "original"))
+                side.revision += 1
+            # a failed operation may leave its side half changed
+            tree = side if ok else other
+        kinds = {"RemoveFeature", "MutateAsset", "CloneVariant", "CloneFeature",
+                 "TransplantFeature"}
+        assert applied == {(k, s) for k in kinds for s in ("clone", "original")}
+
+    def test_own_copies_one_repository_once_and_keeps_node_ids(self):
+        tree = random_fs_tree(random.Random(4))
+        while len(tree.repositories) < 2:
+            build_repo(tree, f"extra{len(tree.repositories)}", {"x.mini": ["x"]})
+        first, second = tree.repositories[:2]
+        twin = tree.clone()
+        twin.own(first.name)
+        mine = twin.find_repository(first.name)
+        assert mine is not first
+        assert [n.node_id for n in mine.iter_nodes()] == \
+            [n.node_id for n in first.iter_nodes()]
+        assert twin.find_repository(second.name) is second
+        assert first.name not in twin.shared and first.name in tree.shared
+        twin.own(first.name)
+        assert twin.find_repository(first.name) is mine
+        for name in ("missing", None, ["a"], ""):
+            twin.own(name)  # never raises

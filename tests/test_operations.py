@@ -129,7 +129,7 @@ class TestCloneVariant:
         clone.name = "r1"
         assert structurally_equal(repo, clone)
         clone.name = "r2"
-        assert len(tree.traces.by_op("op1")) == node_count
+        assert sum(t.op_id == "op1" for t in tree.traces.traces) == node_count
 
     def test_duplicate_name_raises(self):
         tree = AssetTree()

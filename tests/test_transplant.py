@@ -253,8 +253,8 @@ class TestIntegration:
                        .child_named("lib").child_named("mod0.mini")
         tgt_mod0 = v2.child_named("slices").child_named("widget") \
                      .child_named("lib").child_named("mod0.mini")
-        assert tree.traces.by_target(tgt_mod0.node_id)[0].source_node == \
-            src_mod0.node_id
+        assert [t.source_node for t in tree.traces.traces
+                if t.target_node == tgt_mod0.node_id] == [src_mod0.node_id]
 
     def test_feature_name_collision_gets_suffix(self, tmp_path, adapter):
         tree, donor = self._system_tree(tmp_path, adapter)
