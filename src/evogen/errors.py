@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule that
+turns an input file's bytes into text or into one of these errors."""
 
 
 class EvogenError(Exception):
@@ -101,3 +102,15 @@ class ReplayDivergence(EvogenError):
     def __init__(self, record_index, message):
         super().__init__(f"replay diverged at record {record_index}: {message}")
         self.record_index = record_index
+
+
+# -- decoding input files ----------------------------------------------------
+
+def utf8_text(data: bytes, name: str) -> str:
+    """A file's bytes decoded as UTF-8; raises SnapshotIoError naming the
+    file `name` when they are not UTF-8 text.  Snapshots, donors, the ledger
+    and the traces are all decoded through here."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotIoError(f"{name}: not UTF-8 text") from exc

@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 from . import model
 from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
-                     SnapshotIoError)
+                     SnapshotIoError, utf8_text)
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
                     FeatureModel, REPOSITORY, _feature_to_dict)
 from .operations import execute
@@ -41,16 +41,27 @@ SCHEMA_VERSION = 1
 
 # -- parsing codebases from disk ---------------------------------------------
 
-def parse_directory(tree: AssetTree, path: Path, kind: str) -> AssetNode:
-    """Read a directory into an asset node; children ordered by name."""
+def parse_directory(tree: AssetTree, path: Path, kind: str, rel: str) -> AssetNode:
+    """Read a directory into an asset node; children ordered by name.
+    `rel` names the directory in errors: a file in it that is not UTF-8
+    text raises SnapshotIoError naming it ``rel/<its path>``."""
     node = tree.new_node(kind, path.name)
     for entry in sorted(path.iterdir(), key=lambda p: p.name):
+        name = f"{rel}/{entry.name}"
         if entry.is_dir():
-            node.children.append(parse_directory(tree, entry, FOLDER))
+            node.children.append(parse_directory(tree, entry, FOLDER, name))
         elif entry.is_file():
-            content = entry.read_text(encoding="utf-8").splitlines()
+            content = utf8_text(entry.read_bytes(), name).splitlines()
             node.children.append(tree.new_node(FILE, entry.name, content=content))
     return node
+
+
+def _parse_repository(tree: AssetTree, path: Path) -> None:
+    """Add directory `path` to the tree as a repository of its name, with
+    a root feature of that name."""
+    repo = parse_directory(tree, path, REPOSITORY, path.name)
+    repo.feature_model = FeatureModel(Feature(repo.name, origin=f"init:{repo.name}"))
+    tree.root.children.append(repo)
 
 
 def parse_initial_system(path: Path) -> AssetTree:
@@ -59,9 +70,7 @@ def parse_initial_system(path: Path) -> AssetTree:
     if not path.is_dir():
         raise SnapshotIoError(f"not a directory: {path}")
     tree = AssetTree()
-    repo = parse_directory(tree, path, REPOSITORY)
-    repo.feature_model = FeatureModel(Feature(repo.name, origin=f"init:{repo.name}"))
-    tree.root.children.append(repo)
+    _parse_repository(tree, path)
     return tree
 
 
@@ -73,10 +82,7 @@ def parse_snapshot(path: Path) -> AssetTree:
     tree = AssetTree()
     for entry in sorted(path.iterdir(), key=lambda p: p.name):
         if entry.is_dir():
-            repo = parse_directory(tree, entry, REPOSITORY)
-            repo.kind = REPOSITORY
-            repo.feature_model = FeatureModel(Feature(repo.name, origin=f"init:{repo.name}"))
-            tree.root.children.append(repo)
+            _parse_repository(tree, entry)
     return tree
 
 
@@ -253,19 +259,17 @@ def write_feature_state(tree: AssetTree, out_dir: Path,
 
 
 def _read_ndjson(path: Path, what: str) -> list[dict]:
+    """The JSON value of every line of `path`; raises ReplayDivergence at
+    the first line that is not UTF-8 text or not JSON."""
     if not path.is_file():
         return []
     records = []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(path.read_bytes().splitlines()):
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            records.append(json.loads(utf8_text(line, path.name)))
+        except (SnapshotIoError, json.JSONDecodeError) as exc:
             raise ReplayDivergence(i, f"malformed {what} line: {exc}") from exc
     return records
-
-
-def read_ledger(out_dir: Path) -> list[dict]:
-    return _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
 
 
 #: keys replay and validation read from every ledger record and trace line
@@ -278,6 +282,34 @@ def _require_keys(lines: list[dict], keys: tuple[str, ...], what: str) -> None:
         missing = [k for k in keys if k not in line] if isinstance(line, dict) else keys
         if missing:
             raise ReplayDivergence(i, f"{what} line lacks {', '.join(missing)}")
+
+
+def _shape_problem(record: dict, where: str = "") -> Optional[str]:
+    """Why `_ref_fields` cannot read a ledger record, or None: its `params`
+    must be an object and its `sub_ops` a list of records of the same shape."""
+    if not isinstance(record.get("params", {}), dict):
+        return f"{where}params is not an object"
+    subs = record.get("sub_ops", [])
+    if not isinstance(subs, list) or not all(isinstance(sub, dict) for sub in subs):
+        return f"{where}sub_ops is not a list of objects"
+    for i, sub in enumerate(subs):
+        problem = _shape_problem(sub, f"{where}sub_ops[{i}].")
+        if problem:
+            return problem
+    return None
+
+
+def read_ledger(out_dir: Path) -> list[dict]:
+    """The ledger's records, in commit order.  Raises ReplayDivergence at the
+    first line that does not parse, lacks one of LEDGER_KEYS or is not of
+    the shape ``_ref_fields`` reads."""
+    records = _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
+    _require_keys(records, LEDGER_KEYS, "ledger")
+    for i, record in enumerate(records):
+        problem = _shape_problem(record)
+        if problem:
+            raise ReplayDivergence(i, f"ledger line {problem}")
+    return records
 
 
 # -- replay ------------------------------------------------------------------
@@ -339,21 +371,6 @@ def _read_snapshot(root: Path) -> dict[str, bytes]:
     return files
 
 
-def _shape_problem(record: dict, where: str = "") -> Optional[str]:
-    """Why `_ref_fields` cannot read a ledger record, or None: its `params`
-    must be an object and its `sub_ops` a list of records of the same shape."""
-    if not isinstance(record.get("params", {}), dict):
-        return f"{where}params is not an object"
-    subs = record.get("sub_ops", [])
-    if not isinstance(subs, list) or not all(isinstance(sub, dict) for sub in subs):
-        return f"{where}sub_ops is not a list of objects"
-    for i, sub in enumerate(subs):
-        problem = _shape_problem(sub, f"{where}sub_ops[{i}].")
-        if problem:
-            return problem
-    return None
-
-
 def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
     params = record.get("params", {})
     for key in ("target", "source", "asset", "insertion_parent"):
@@ -411,7 +428,7 @@ def _ref_checks(records: list[dict], trace_lines: list[dict],
 def validate_history(out_dir: Path, adapter) -> ValidationReport:
     """Cross-check replay fidelity, ref resolvability, compilability and
     trace/mapping consistency of a generated history in one replay pass."""
-    from .minilang import check_snapshot_dir, snapshot_listings
+    from .minilang import check_snapshot_dir
     out_dir = Path(out_dir)
     report = ValidationReport()
     revisions_dir = out_dir / "revisions"
@@ -430,11 +447,6 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
 
     try:
         records = read_ledger(out_dir)
-        _require_keys(records, LEDGER_KEYS, "ledger")
-        for i, record in enumerate(records):
-            problem = _shape_problem(record)
-            if problem:
-                raise ReplayDivergence(i, f"ledger line {problem}")
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
@@ -442,7 +454,7 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     run_path = out_dir / "run.json"
     if run_path.is_file():
         try:
-            summary = json.loads(run_path.read_text())
+            summary = json.loads(run_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             report.add("ledger", "run.json", f"malformed run.json: {exc}")
         else:
@@ -480,14 +492,13 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
                 report.add("replay-fidelity", snap.name,
                            "replayed state differs from stored snapshot")
             try:
-                listings = snapshot_listings(files, adapter)
-            except SnapshotIoError as exc:
-                report.add("compilability", snap.name, str(exc))
-            else:
                 # one call per revision with the snapshot directory first: the
                 # benchmark's tracer counts repositories from that argument
-                for problem in check_snapshot_dir(snap, adapter, listings, memo):
-                    report.add("compilability", snap.name, problem)
+                problems = check_snapshot_dir(snap, adapter, files, memo)
+            except SnapshotIoError as exc:
+                problems = [str(exc)]
+            for problem in problems:
+                report.add("compilability", snap.name, problem)
             state_path = out_dir / "features" / f"{revision:04d}.json"
             if not state_path.is_file():
                 report.add("layout", state_path.name, "feature state missing")
@@ -503,6 +514,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
                                "stored feature state differs from replayed state")
     except ReplayDivergence as exc:
         report.add("replay", "ledger.ndjson", str(exc))
+        return report
+    except SnapshotIoError as exc:  # revision 0 does not parse
+        report.add("replay", "0000", str(exc))
         return report
 
     replayed = [_trace_line(t) for t in tree.traces.traces]

@@ -15,14 +15,13 @@ every language-specific hook the engine needs:
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import ManifestParseError, SnapshotIoError
-from .model import (FILE, MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
-                    TestCandidate, flatten_lines)
+from .errors import ManifestParseError, utf8_text
+from .history import _read_snapshot, _tree_files
+from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
 
 SOURCE_SUFFIX = ".mini"
 
@@ -169,8 +168,8 @@ def _split_list(value: str) -> list[str]:
 
 # -- compilability checking ---------------------------------------------------
 
-#: one repository as seen by the checker: repository-relative path parts ->
-#: lines, for every source file and every manifest
+#: one repository as seen by ``check_listing``: repository-relative path
+#: parts -> lines, for every source file and every manifest
 Listing = dict[tuple[str, ...], list[str]]
 
 
@@ -252,126 +251,61 @@ def check_listing(files: Listing, adapter: MinilangAdapter) -> list[str]:
     return problems
 
 
-def _in_repository(name: str, problems: list[str]) -> list[str]:
-    """Problems of repository `name`, each led by the repository's name."""
-    return [f"{name}/{msg}" for msg in problems]
+#: repository name -> (bytes of its checked files by repository-relative
+#: path, their problems) from the last check of that repository; valid across
+#: checks because ``check_listing`` is a pure function of those bytes
+CheckMemo = dict[str, tuple[dict[str, bytes], list[str]]]
 
-
-#: repository name -> (listing, its problems) from the last check of that
-#: repository; valid across checks because ``check_listing`` is a pure
-#: function of the listing
-CheckMemo = dict[str, tuple[Listing, list[str]]]
-
-
-def check_listings(listings: Iterable[tuple[str, Listing]],
-                   adapter: MinilangAdapter,
-                   memo: Optional[CheckMemo] = None) -> list[str]:
-    """Problems of every (repository name, listing) pair, in the given order.
-
-    With a memo, a repository whose listing equals the one of its last check
-    reuses that check's problems instead of being checked again.
-    """
-    problems = []
-    for name, files in listings:
-        last = memo.get(name) if memo is not None else None
-        if last is not None and last[0] == files:
-            found = last[1]
-        else:
-            found = check_listing(files, adapter)
-            if memo is not None:
-                memo[name] = (files, found)
-        problems.extend(_in_repository(name, found))
-    return problems
-
-
-# -- feeders: a materialized snapshot on disk, the same snapshot's bytes, or
-# -- the asset tree in memory -------------------------------------------------
 
 def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
     return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
-def _text_lines(rel: str, data: bytes) -> list[str]:
-    """Lines of a checked file's bytes.  Raises SnapshotIoError naming the
-    file by its snapshot-relative path `rel` when they are not UTF-8 text."""
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise SnapshotIoError(f"{rel}: not UTF-8 text") from exc
+def check_files(files: dict[str, bytes], adapter: MinilangAdapter,
+                memo: Optional[CheckMemo] = None) -> list[str]:
+    """Problems of a snapshot held in memory as snapshot-relative path ->
+    bytes, the form ``history._tree_files`` renders a tree in and
+    ``history._read_snapshot`` reads a directory in; empty means compilable.
 
-
-def repository_dir_listing(repo_dir: Path, adapter: MinilangAdapter) -> Listing:
-    """The listing of one materialized repository, read with one walk.
-    Raises SnapshotIoError naming a checked file that is not UTF-8 text."""
-    files: Listing = {}
-    repo = Path(repo_dir).name
-    for dirpath, _, filenames in os.walk(repo_dir):
-        base = Path(dirpath).relative_to(repo_dir).parts
-        for name in filenames:
-            if _is_checked_file(adapter, name):
-                parts = base + (name,)
-                files[parts] = _text_lines("/".join((repo,) + parts),
-                                           Path(dirpath, name).read_bytes())
-    return files
-
-
-def check_repository_dir(repo_dir: Path, adapter: MinilangAdapter) -> list[str]:
-    """Problems of one materialized repository; raises SnapshotIoError on a
-    checked file that is not UTF-8 text."""
-    return check_listing(repository_dir_listing(repo_dir, adapter), adapter)
-
-
-def snapshot_listings(files: dict[str, bytes], adapter: MinilangAdapter
-                      ) -> list[tuple[str, Listing]]:
-    """(repository name, listing) of a snapshot read into memory as
-    snapshot-relative path -> bytes, in name order; equal to what
-    ``repository_dir_listing`` reads from each repository on disk.  Raises
-    SnapshotIoError naming a checked file that is not UTF-8 text."""
-    repos: dict[str, Listing] = {}
+    Repositories are the top-level folders, checked in name order; each
+    problem is led by its repository's name.  With a memo, a repository
+    whose checked files hold the bytes of its last check reuses that check's
+    problems.  Raises SnapshotIoError naming a checked file that is not
+    UTF-8 text.
+    """
+    repos: dict[str, dict[str, bytes]] = {}
     for rel, data in files.items():
-        repo, *parts = rel.split("/")
-        if parts:
-            listing = repos.setdefault(repo, {})
-            if _is_checked_file(adapter, parts[-1]):
-                listing[tuple(parts)] = _text_lines(rel, data)
-    return sorted(repos.items())
+        repo, _, path = rel.partition("/")
+        if path and _is_checked_file(adapter, path.rpartition("/")[2]):
+            repos.setdefault(repo, {})[path] = data
+    problems = []
+    for name, checked in sorted(repos.items()):
+        last = memo.get(name) if memo is not None else None
+        if last is not None and last[0] == checked:
+            found = last[1]
+        else:
+            found = check_listing(
+                {tuple(path.split("/")): utf8_text(data, f"{name}/{path}").splitlines()
+                 for path, data in checked.items()}, adapter)
+            if memo is not None:
+                memo[name] = (checked, found)
+        problems.extend(f"{name}/{msg}" for msg in found)
+    return problems
 
 
 def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
-                       listings: Optional[Iterable[tuple[str, Listing]]] = None,
+                       files: Optional[dict[str, bytes]] = None,
                        memo: Optional[CheckMemo] = None) -> list[str]:
-    """Check every repository of a materialized snapshot; `listings`, when
-    given, are the snapshot's repositories already read into memory (see
-    ``snapshot_listings``), and nothing is read from disk.  Raises
-    SnapshotIoError on a checked file that is not UTF-8 text."""
-    if listings is None:
-        listings = ((p.name, repository_dir_listing(p, adapter))
-                    for p in sorted(p for p in Path(snapshot_dir).iterdir()
-                                    if p.is_dir()))
-    return check_listings(listings, adapter, memo)
-
-
-def _tree_listing(repo: AssetNode, adapter: MinilangAdapter) -> Listing:
-    """The listing a materialized copy of `repo` would give.  Every tree
-    line entered through ``splitlines``, so no line holds a line break."""
-    files: Listing = {}
-
-    def walk(node: AssetNode, base: tuple[str, ...]) -> None:
-        for child in node.children:
-            path = base + (child.name,)
-            if child.kind != FILE:
-                walk(child, path)
-            elif _is_checked_file(adapter, child.name):
-                files[path] = flatten_lines(child)
-
-    walk(repo, ())
-    return files
+    """Check every repository of a materialized snapshot: ``check_files`` on
+    its bytes, read from `snapshot_dir` unless `files` already holds them."""
+    if files is None:
+        files = _read_snapshot(Path(snapshot_dir))
+    return check_files(files, adapter, memo)
 
 
 def check_tree(tree: AssetTree, adapter: MinilangAdapter,
                memo: Optional[CheckMemo] = None) -> list[str]:
-    """Check every repository of the tree in memory; equals
-    ``check_snapshot_dir`` on a materialized copy of the tree."""
-    return check_listings(((repo.name, _tree_listing(repo, adapter))
-                           for repo in sorted(tree.repositories, key=lambda r: r.name)),
-                          adapter, memo)
+    """Check every repository of the tree in memory: ``check_files`` on the
+    bytes its snapshot holds, so it equals ``check_snapshot_dir`` on a
+    materialized copy of the tree by construction."""
+    return check_files(_tree_files(tree), adapter, memo)

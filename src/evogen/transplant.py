@@ -16,7 +16,7 @@ from typing import Optional
 from . import model
 from .errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
                      ManifestParseError, MissingDependency, NotModular,
-                     SliceConflict)
+                     SliceConflict, SnapshotIoError, utf8_text)
 from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
@@ -28,14 +28,20 @@ from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
 # -- donor loading and scanning ----------------------------------------------
 
 def load_donor(path: Path, adapter) -> DonorProject:
-    """Read a donor project directory into its immutable scan products."""
+    """Read a donor project directory into its immutable scan products.
+    Raises DonorIoError on a file that cannot be read or is not UTF-8 text."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not path.is_dir() or not manifest_path.is_file():
         raise DonorIoError(f"not a donor project: {path}")
+
+    def read_lines(file_path: Path) -> list[str]:
+        name = f"{path.name}/{file_path.relative_to(path).as_posix()}"
+        return utf8_text(file_path.read_bytes(), name).splitlines()
+
     try:
-        manifest = adapter.manifest_parse(manifest_path.read_text().splitlines())
-    except OSError as exc:
+        manifest = adapter.manifest_parse(read_lines(manifest_path))
+    except (OSError, SnapshotIoError) as exc:
         raise DonorIoError(str(exc)) from exc
     donor_id = manifest.name or path.name
 
@@ -44,8 +50,8 @@ def load_donor(path: Path, adapter) -> DonorProject:
         for file_path in sorted(path.rglob("*")):
             if file_path.is_file() and adapter.is_source_file(file_path.name):
                 rel = file_path.relative_to(path).as_posix()
-                files[rel] = tuple(file_path.read_text().splitlines())
-    except OSError as exc:
+                files[rel] = tuple(read_lines(file_path))
+    except (OSError, SnapshotIoError) as exc:
         raise DonorIoError(str(exc)) from exc
 
     srcdir = manifest.extras.get("srcdir", "")

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from evogen.cli import main
+from evogen.history import LEDGER_KEYS
 
 from conftest import write_donor, write_initial_system
 
@@ -48,6 +49,26 @@ class TestGenerate:
             "generate", "--system", str(bad), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "invalid initial system" in result.output
+
+    def test_system_file_not_utf8_exit_two(self, runner, tmp_path):
+        system = write_initial_system(tmp_path / "in")
+        (system / "notes.txt").write_bytes(b"\xff not text\n")
+        result = runner.invoke(main, [
+            "generate", "--system", str(system), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid initial system: calc/notes.txt: not UTF-8 text" in result.output
+
+    def test_donor_file_not_utf8_exit_two(self, runner, tmp_path):
+        system = write_initial_system(tmp_path / "in")
+        donor = write_donor(tmp_path / "donors", "widget")
+        (donor / "src" / "lib" / "mod1.mini").write_bytes(b"def m {\n\xff\n}\n")
+        result = runner.invoke(main, [
+            "generate", "--system", str(system), "--donor", str(donor),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "widget/src/lib/mod1.mini: not UTF-8 text" in result.output
 
     def test_nonempty_out_exit_three(self, runner, tmp_path):
         system = write_initial_system(tmp_path / "in")
@@ -334,3 +355,70 @@ class TestReplay:
         (out / "ledger.ndjson").write_text("{broken\n")
         result = runner.invoke(main, ["replay", str(out)])
         assert result.exit_code == 1
+
+
+class TestBrokenInputEndsWithoutTraceback:
+    """validate records a violation and exits 1, stats exits 4 and replay
+    exits 1, each naming the problem; none ends in a traceback."""
+
+    @staticmethod
+    def _commands(runner, out):
+        validate = runner.invoke(main, ["validate", str(out)])
+        report = json.loads((out / "validation.json").read_text())
+        return validate, report["violations"], [
+            runner.invoke(main, [command, str(out)]) for command in ("stats", "replay")]
+
+    @pytest.mark.parametrize("name, kind, what", [
+        ("ledger.ndjson", "ledger", "ledger"),
+        ("traces.ndjson", "trace-consistency", "trace")])
+    def test_ndjson_line_not_utf8(self, runner, tmp_path, name, kind, what):
+        _, out = generate_history(runner, tmp_path)
+        path = out / name
+        count = len(path.read_bytes().splitlines()) if path.is_file() else 0
+        with open(path, "ab") as fh:
+            fh.write(b'{"op": "\xff"}\n')
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        message = (f"replay diverged at record {count}: malformed {what} line:"
+                   f" {name}: not UTF-8 text")
+        assert validate.exit_code == 1
+        assert violations == [{"kind": kind, "where": name, "message": message}]
+        if name == "ledger.ndjson":
+            assert (stats.exit_code, replay.exit_code) == (4, 1)
+            for result in (stats, replay):
+                assert isinstance(result.exception, SystemExit)
+                assert message in result.output
+        else:  # neither reads the traces
+            assert (stats.exit_code, replay.exit_code) == (0, 0)
+
+    @pytest.mark.parametrize("key", LEDGER_KEYS)
+    def test_ledger_line_without_a_key(self, runner, tmp_path, key):
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record[key]
+        lines[0] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n")
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        message = f"replay diverged at record 0: ledger line lacks {key}"
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "ledger", "where": "ledger.ndjson",
+                               "message": message}]
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for result in (stats, replay):
+            assert isinstance(result.exception, SystemExit)
+            assert message in result.output
+
+    def test_revision_zero_file_not_utf8(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        victim = out / "revisions" / "0000" / "calc" / "main.mini"
+        victim.unlink()  # snapshot files may be hard links shared by revisions
+        victim.write_bytes(b"\xff\xfe junk")
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        message = "calc/main.mini: not UTF-8 text"
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "replay", "where": "0000", "message": message}]
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for result in (stats, replay):
+            assert isinstance(result.exception, SystemExit)
+            assert message in result.output

@@ -12,8 +12,7 @@ from evogen.history import (_read_snapshot, feature_state, materialize_tree,
                             parse_initial_system, parse_snapshot, read_ledger,
                             replay_history, validate_history,
                             write_feature_state, write_snapshot)
-from evogen.minilang import (MinilangAdapter, check_snapshot_dir,
-                             repository_dir_listing, snapshot_listings)
+from evogen.minilang import MinilangAdapter, check_snapshot_dir, check_tree
 from evogen.model import AssetTree, Feature, structurally_equal
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
@@ -303,15 +302,15 @@ class TestIncrementalSnapshots:
                 if v["kind"] == "replay-fidelity"} == sharing
 
     def test_listings_from_bytes_equal_disk_listings(self, history, adapter):
+        # the check of bytes read once, with the memo validate keeps, equals
+        # a fresh check of the directory and of its parsed tree
         memo: dict = {}
         for snap in _snapshots(history):
             files = _read_snapshot(snap)
             assert files == _files(snap)
-            listings = snapshot_listings(files, adapter)
-            assert listings == [(p.name, repository_dir_listing(p, adapter))
-                                for p in sorted(snap.iterdir()) if p.is_dir()]
-            assert check_snapshot_dir(snap, adapter, listings, memo) == \
-                check_snapshot_dir(snap, adapter)
+            problems = check_snapshot_dir(snap, adapter, files, memo)
+            assert problems == check_snapshot_dir(snap, adapter) == \
+                check_tree(parse_snapshot(snap), adapter)
 
     def test_listings_from_bytes_keep_line_breaks_of_disk_reads(self, tmp_path,
                                                                 adapter):
@@ -320,8 +319,8 @@ class TestIncrementalSnapshots:
         (snap / "empty").mkdir()
         contents = {
             "repo/project.manifest": b"name: repo\r\nslices: lib\r\n",
-            "repo/main.mini": b"\xef\xbb\xbfdef main {\rimport lib.x\r\r\n}\n",
-            "repo/lib/x.mini": b"def x {\n}\x0c\n\xe2\x80\xa8tail",
+            "repo/main.mini": b"\xef\xbb\xbfdef main {\rimport lib.x\r\r\n}\n}\n",
+            "repo/lib/x.mini": b"def x {\n}\x0c}\n\xe2\x80\xa8tail",
             "repo/lib/deep/empty.mini": b"",
             "repo/lib/notes.txt": b"not checked\n",
             "top.mini": b"def top {\n",
@@ -330,10 +329,13 @@ class TestIncrementalSnapshots:
             (snap / rel).write_bytes(data)
         files = _read_snapshot(snap)
         assert files == contents
-        assert dict(snapshot_listings(files, adapter)) == {
-            "repo": repository_dir_listing(snap / "repo", adapter)}
-        assert check_snapshot_dir(snap, adapter, snapshot_listings(files, adapter)) \
-            == check_snapshot_dir(snap, adapter)
+        # line numbers count every break str.splitlines knows, as a parse does
+        expected = ["repo/lib/x.mini:2: unbalanced closing brace",
+                    "repo/main.mini:4: unbalanced closing brace",
+                    "repo/main.mini: unresolved 'import lib.x'"]
+        assert check_snapshot_dir(snap, adapter, files) == expected
+        assert check_snapshot_dir(snap, adapter) == expected
+        assert check_tree(parse_snapshot(snap), adapter) == expected
 
 
 def _full_feature_state(tree: AssetTree) -> bytes:

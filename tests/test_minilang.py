@@ -4,9 +4,8 @@ import pytest
 
 from evogen.errors import ManifestParseError, SnapshotIoError
 from evogen.history import _read_snapshot, materialize_tree, parse_snapshot
-from evogen.minilang import (MinilangAdapter, check_listing,
-                             check_repository_dir, check_snapshot_dir,
-                             check_tree, snapshot_listings)
+from evogen.minilang import (MinilangAdapter, check_files, check_listing,
+                             check_snapshot_dir, check_tree)
 from evogen.model import AssetTree, ManifestModel
 
 from conftest import build_repo, write_initial_system
@@ -106,31 +105,31 @@ class TestManifest:
 
 class TestChecker:
     def test_clean_repository(self, tmp_path, mini):
-        repo = write_initial_system(tmp_path)
-        assert check_repository_dir(repo, mini) == []
+        write_initial_system(tmp_path)
+        assert check_snapshot_dir(tmp_path, mini) == []
 
     def test_unbalanced_brace(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
         (repo / "main.mini").write_text("def broken {\n")
-        problems = check_repository_dir(repo, mini)
+        problems = check_snapshot_dir(tmp_path, mini)
         assert any("unclosed brace" in p for p in problems)
 
     def test_unresolved_import(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
         (repo / "main.mini").write_text("import ghost.module\n")
-        problems = check_repository_dir(repo, mini)
+        problems = check_snapshot_dir(tmp_path, mini)
         assert any("unresolved" in p for p in problems)
 
     def test_import_resolved_by_declared_external(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
         (repo / "project.manifest").write_text("name: calc\ndeps: stdlib\n")
         (repo / "main.mini").write_text("import stdlib.io\n")
-        assert check_repository_dir(repo, mini) == []
+        assert check_snapshot_dir(tmp_path, mini) == []
 
     def test_import_resolved_by_own_module(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
         (repo / "main.mini").write_text("import util\n")
-        assert check_repository_dir(repo, mini) == []
+        assert check_snapshot_dir(tmp_path, mini) == []
 
     def test_slice_module_resolves_for_host_and_slice(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
@@ -143,7 +142,7 @@ class TestChecker:
             "name: widget\ndeps: stdlib\n")
         (sdir / "mod1.mini").write_text("import lib.mod0\nimport stdlib.io\n")
         (repo / "main.mini").write_text("import lib.mod0\n")
-        assert check_repository_dir(repo, mini) == []
+        assert check_snapshot_dir(tmp_path, mini) == []
 
     def test_slice_file_cannot_see_host_modules(self, tmp_path, mini):
         repo = write_initial_system(tmp_path)
@@ -152,7 +151,7 @@ class TestChecker:
         sdir = repo / "slices" / "widget"
         sdir.mkdir(parents=True)
         (sdir / "bad.mini").write_text("import util\n")
-        problems = check_repository_dir(repo, mini)
+        problems = check_snapshot_dir(tmp_path, mini)
         assert any("unresolved" in p for p in problems)
 
     def test_snapshot_checks_all_repositories(self, tmp_path, mini):
@@ -163,7 +162,7 @@ class TestChecker:
         assert problems and all(p.startswith("broken/") for p in problems)
 
 
-# -- one checker over a listing: disk, tree and listing agree ----------------
+# -- one checker over a snapshot's bytes: disk, tree and listing agree -------
 
 def _write(root, files: dict[str, str]) -> None:
     for rel, text in files.items():
@@ -215,7 +214,6 @@ class TestListing:
                    for rel, text in files.items()}
         assert check_listing(listing, mini) == expected
         _write(tmp_path / "r", files)
-        assert check_repository_dir(tmp_path / "r", mini) == expected
         in_repo = [f"r/{p}" for p in expected]
         assert check_snapshot_dir(tmp_path, mini) == in_repo
         assert check_tree(parse_snapshot(tmp_path), mini) == in_repo
@@ -227,6 +225,17 @@ class TestListing:
         materialize_tree(tree, tmp_path)
         assert check_tree(tree, mini) == check_snapshot_dir(tmp_path, mini) == [
             "alpha/a.mini: unclosed brace", "zeta/a.mini:0: unbalanced closing brace"]
+
+    @pytest.mark.parametrize("line_break", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_tree_line_holding_a_line_break_is_checked_as_written(
+            self, tmp_path, mini, line_break):
+        # the snapshot splits such a line in two; the gate must see that too
+        tree = AssetTree()
+        build_repo(tree, "r", {"a.mini": [f"}}{line_break}{{"]})
+        materialize_tree(tree, tmp_path)
+        expected = ["r/a.mini:0: unbalanced closing brace"]
+        assert check_snapshot_dir(tmp_path, mini) == expected
+        assert check_tree(tree, mini) == expected
 
 
 class TestCheckerFixes:
@@ -267,9 +276,9 @@ class TestCheckerFixes:
         (repo / "main.mini").write_bytes(b"def main {\n\xff\xfe\n}\n")
         (repo / "notes.txt").write_bytes(b"\xff not checked\n")
         message = "calc/main.mini: not UTF-8 text"
-        for feed in (lambda: snapshot_listings(_read_snapshot(tmp_path), mini),
+        for feed in (lambda: check_files(_read_snapshot(tmp_path), mini),
                      lambda: check_snapshot_dir(tmp_path, mini),
-                     lambda: check_repository_dir(repo, mini)):
+                     lambda: check_snapshot_dir(tmp_path, mini, memo={})):
             with pytest.raises(SnapshotIoError, match=message):
                 feed()
 

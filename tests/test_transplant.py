@@ -38,6 +38,13 @@ class TestLoadDonor:
         with pytest.raises(DonorIoError):
             load_donor(tmp_path / "empty", adapter)
 
+    @pytest.mark.parametrize("rel", ["project.manifest", "src/lib/mod1.mini"])
+    def test_file_not_utf8_raises_naming_it(self, tmp_path, adapter, rel):
+        donor = write_donor(tmp_path, "widget")
+        (donor / rel).write_bytes(b"name: w\n\xff\n")
+        with pytest.raises(DonorIoError, match=f"widget/{rel}: not UTF-8 text"):
+            load_donor(donor, adapter)
+
     def test_unresolved_source_import_raises(self, tmp_path, adapter):
         donor = write_donor(tmp_path, "bad")
         (donor / "src" / "lib" / "mod1.mini").write_text("import nowhere.x\n")
