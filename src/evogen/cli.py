@@ -5,30 +5,42 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 
 from .errors import (EvogenError, InvalidInitialSystem, LedgerIoError,
-                     ReplayDivergence, SnapshotIoError)
+                     ReplayDivergence, SnapshotIoError, utf8_text)
 from .history import replay_history, validate_history
 from .minilang import MinilangAdapter
 from .runner import PRESET_NAMES, RunConfig, preset, run
 from .stats import compute_metrics, rows_to_csv, rows_to_long
 
 
-def _load_config(config_path, preset_name, seed):
-    if preset_name:
-        config = preset(preset_name)
-    else:
-        config = RunConfig()
-    if config_path:
-        import yaml  # only a config file needs it; other commands start faster
-        data = yaml.safe_load(Path(config_path).read_text()) or {}
+def _read_config(ctx, param, value: Optional[str]) -> Optional[dict]:
+    """The mapping the YAML file named by --config holds.  A file that cannot
+    be read, is not UTF-8 YAML, or whose top level or `checker` is not a
+    mapping is a bad parameter: exit 2 with a message naming the file."""
+    if value is None:
+        return None
+    import yaml  # only a config file needs it; other commands start faster
+    try:
+        data = yaml.safe_load(utf8_text(Path(value).read_bytes(), value)) or {}
+    except SnapshotIoError as exc:
+        raise click.BadParameter(str(exc)) from exc
+    except (OSError, yaml.YAMLError) as exc:
+        raise click.BadParameter(f"{value}: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("checker", {}), dict):
+        raise click.BadParameter(f"{value}: its top level and checker must be mappings")
+    return data
+
+
+def _load_config(data: Optional[dict], preset_name, seed):
+    config = preset(preset_name) if preset_name else RunConfig()
+    if data is not None:
         base = config.to_dict()
-        base.update({k: v for k, v in data.items() if k != "checker"})
-        if "checker" in data:
-            base["checker"] = {**base["checker"], **data["checker"]}
-        config = RunConfig.from_dict(base)
+        checker = {**base["checker"], **data.get("checker", {})}
+        config = RunConfig.from_dict(base | data | {"checker": checker})
     if seed is not None:
         config.seed = seed
     return config
@@ -41,8 +53,8 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="YAML run configuration.")
+@click.option("--config", "config_data", type=click.Path(), default=None,
+              callback=_read_config, help="YAML run configuration.")
 @click.option("--preset", "preset_name", type=click.Choice(PRESET_NAMES),
               default=None, help="Shipped probability preset.")
 @click.option("--system", "system_path", type=click.Path(), required=True,
@@ -52,10 +64,10 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Output history directory.")
 @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
-def generate(config_path, preset_name, system_path, donor_paths, out_dir, seed):
+def generate(config_data, preset_name, system_path, donor_paths, out_dir, seed):
     """Evolve the initial system and write a version history."""
     try:
-        config = _load_config(config_path, preset_name, seed)
+        config = _load_config(config_data, preset_name, seed)
         for path in (system_path, *donor_paths):
             if not Path(path).is_dir():
                 raise InvalidInitialSystem(f"no such directory: {path}")

@@ -108,8 +108,8 @@ class ReplayDivergence(EvogenError):
 
 def utf8_text(data: bytes, name: str) -> str:
     """A file's bytes decoded as UTF-8; raises SnapshotIoError naming the
-    file `name` when they are not UTF-8 text.  Snapshots, donors, the ledger
-    and the traces are all decoded through here."""
+    file `name` when they are not UTF-8 text.  Snapshots, donors, the ledger,
+    the traces and the config file are all decoded through here."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

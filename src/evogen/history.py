@@ -14,6 +14,11 @@ Layout of a generated history directory:
 
 All text is UTF-8 with LF line endings; identical inputs produce bit-identical
 directories.
+
+Snapshots, files and folders alike, have one in-memory form, the ``Snapshot``
+map: ``_tree_files`` renders it, ``_read_snapshot`` reads it from a directory
+(seed, donor, stored snapshot), ``_build_tree`` parses and ``_write_tree``
+writes it.
 """
 
 from __future__ import annotations
@@ -39,54 +44,67 @@ from .refs import (AssetRef, FeatureRef, make_asset_ref, repository_refs,  # noq
 SCHEMA_VERSION = 1
 
 
-# -- parsing codebases from disk ---------------------------------------------
+# -- snapshot maps -----------------------------------------------------------
 
-def parse_directory(tree: AssetTree, path: Path, kind: str, rel: str) -> AssetNode:
-    """Read a directory into an asset node; children ordered by name.
-    `rel` names the directory in errors: a file in it that is not UTF-8
-    text raises SnapshotIoError naming it ``rel/<its path>``."""
-    node = tree.new_node(kind, path.name)
-    for entry in sorted(path.iterdir(), key=lambda p: p.name):
-        name = f"{rel}/{entry.name}"
-        if entry.is_dir():
-            node.children.append(parse_directory(tree, entry, FOLDER, name))
-        elif entry.is_file():
-            content = utf8_text(entry.read_bytes(), name).splitlines()
-            node.children.append(tree.new_node(FILE, entry.name, content=content))
-    return node
+#: a snapshot held in memory: snapshot-relative path -> file bytes, or None
+#: for a repository or folder, parents before their children
+Snapshot = dict[str, Optional[bytes]]
 
 
-def _parse_repository(tree: AssetTree, path: Path) -> None:
-    """Add directory `path` to the tree as a repository of its name, with
-    a root feature of that name."""
-    repo = parse_directory(tree, path, REPOSITORY, path.name)
-    repo.feature_model = FeatureModel(Feature(repo.name, origin=f"init:{repo.name}"))
-    tree.root.children.append(repo)
+def _read_snapshot(root: Path, prefix: str = "") -> Snapshot:
+    """A directory read into memory with one walk, siblings in name order,
+    each path led by `prefix`: the one reader of seed systems, donors and
+    stored snapshots."""
+    if not root.is_dir():
+        raise SnapshotIoError(f"not a directory: {root}")
+    files: Snapshot = {}
+
+    def walk(path: str, rel: str) -> None:
+        for entry in sorted(os.scandir(path), key=lambda entry: entry.name):
+            if entry.is_dir():
+                files[rel + entry.name] = None
+                walk(entry.path, f"{rel}{entry.name}/")
+            elif entry.is_file():
+                with open(entry.path, "rb") as fh:
+                    files[rel + entry.name] = fh.read()
+
+    walk(str(root), prefix)
+    return files
+
+
+def _build_tree(files: Snapshot) -> AssetTree:
+    """The asset tree of a snapshot map in ``_read_snapshot``'s order, so
+    node ids run in preorder with siblings by name.  Every top-level folder
+    becomes a repository with a root feature of its name; top-level files
+    are ignored.  Raises SnapshotIoError naming a file that is not UTF-8."""
+    tree = AssetTree()
+    nodes: dict[str, AssetNode] = {}
+    for rel, data in files.items():
+        parent, _, name = rel.rpartition("/")
+        if not parent:
+            if data is None:
+                nodes[rel] = repo = tree.new_node(REPOSITORY, name)
+                repo.feature_model = FeatureModel(Feature(name, origin=f"init:{name}"))
+                tree.root.children.append(repo)
+            continue
+        if data is None:
+            nodes[rel] = node = tree.new_node(FOLDER, name)
+        else:
+            node = tree.new_node(FILE, name, content=utf8_text(data, rel).splitlines())
+        nodes[parent].children.append(node)
+    return tree
 
 
 def parse_initial_system(path: Path) -> AssetTree:
-    """The user-provided codebase becomes the single initial repository."""
-    path = Path(path)
-    if not path.is_dir():
-        raise SnapshotIoError(f"not a directory: {path}")
-    tree = AssetTree()
-    _parse_repository(tree, path)
-    return tree
+    """The codebase at `path` becomes the single initial repository, named after it."""
+    path = Path(os.path.abspath(path))
+    return _build_tree({path.name: None} | _read_snapshot(path, f"{path.name}/"))
 
 
 def parse_snapshot(path: Path) -> AssetTree:
     """Re-parse a materialized snapshot (repositories are top-level dirs)."""
-    path = Path(path)
-    if not path.is_dir():
-        raise SnapshotIoError(f"not a directory: {path}")
-    tree = AssetTree()
-    for entry in sorted(path.iterdir(), key=lambda p: p.name):
-        if entry.is_dir():
-            _parse_repository(tree, entry)
-    return tree
+    return _build_tree(_read_snapshot(Path(path)))
 
-
-# -- snapshot writing --------------------------------------------------------
 
 def _file_bytes(node: AssetNode) -> bytes:
     """Snapshot bytes of a file node: UTF-8 lines, each ending in LF."""
@@ -94,42 +112,37 @@ def _file_bytes(node: AssetNode) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def _fs_nodes(tree: AssetTree) -> Iterator[tuple[str, AssetNode]]:
-    """(relative path, node) of every repository, folder and file, parents
-    before children."""
-    def walk(node: AssetNode, rel: str):
-        yield rel, node
-        if node.kind != FILE:
-            for child in node.children:
-                yield from walk(child, f"{rel}/{child.name}")
-    for repo in tree.repositories:
-        yield from walk(repo, repo.name)
-
-
-def _tree_files(tree: AssetTree) -> dict[str, bytes]:
-    """In-memory render of a snapshot: relative path -> file bytes."""
-    return {rel: _file_bytes(node) for rel, node in _fs_nodes(tree)
-            if node.kind == FILE}
-
-
-def _write_tree(tree: AssetTree, dest: Path,
-                previous: Optional[dict[str, bytes]] = None,
-                link_dir: Optional[Path] = None) -> dict[str, bytes]:
-    """Write the tree's snapshot under `dest` and return its render.  A file
-    whose bytes equal ``previous[rel]`` becomes a hard link to
-    ``link_dir/rel``, or is written when linking fails.  With `previous`,
-    the files of a repository the tree still shares are not rendered: their
-    bytes are taken from `previous`."""
-    dest.mkdir(parents=True, exist_ok=True)
+def _tree_files(tree: AssetTree, previous: Optional[Snapshot] = None) -> Snapshot:
+    """The one render of a tree's snapshot.  With `previous`, the render of
+    revision N-1, the files of a repository the tree still shares are taken
+    from it without rendering (see ``write_snapshot``)."""
     clean = tree.shared if previous is not None else ()
-    files: dict[str, bytes] = {}
-    for rel, node in _fs_nodes(tree):
-        if node.kind == FILE:
-            files[rel] = (previous[rel] if rel.partition("/")[0] in clean
-                          else _file_bytes(node))
-        else:
-            (dest / rel).mkdir(parents=True, exist_ok=True)
+    files: Snapshot = {}
+
+    def walk(node: AssetNode, rel: str, reuse: bool) -> None:
+        files[rel] = None
+        for child in node.children:
+            path = f"{rel}/{child.name}"
+            if child.kind != FILE:
+                walk(child, path, reuse)
+            else:
+                files[path] = previous[path] if reuse else _file_bytes(child)
+
+    for repo in tree.repositories:
+        walk(repo, repo.name, repo.name in clean)
+    return files
+
+
+def _write_tree(files: Snapshot, dest: Path, previous: Optional[Snapshot] = None,
+                link_dir: Optional[Path] = None) -> None:
+    """Write a snapshot map under `dest`.  A file whose bytes equal
+    ``previous[rel]`` becomes a hard link to ``link_dir/rel``, or is written
+    when linking fails."""
+    dest.mkdir(parents=True, exist_ok=True)
     for rel, data in files.items():
+        if data is None:
+            (dest / rel).mkdir(exist_ok=True)
+            continue
         if previous is not None and previous.get(rel) == data:
             try:
                 os.link(link_dir / rel, dest / rel)
@@ -137,34 +150,33 @@ def _write_tree(tree: AssetTree, dest: Path,
             except OSError:
                 pass
         (dest / rel).write_bytes(data)
-    return files
 
 
 def materialize_tree(tree: AssetTree, dest: Path) -> None:
-    _write_tree(tree, Path(dest))
+    _write_tree(_tree_files(tree), Path(dest))
 
 
 def write_snapshot(tree: AssetTree, revision: int, out_dir: Path,
-                   previous: Optional[dict[str, bytes]] = None) -> dict[str, bytes]:
+                   previous: Optional[Snapshot] = None) -> Snapshot:
     """Mirror the asset tree to out/revisions/NNNN; idempotent.
 
     `previous` is the render this function returned for revision N-1, and
     the tree's ``shared`` then names the repositories unchanged since that
     revision (see ``operations.run_in_transaction``; call this before the
     tree is cloned again, which resets ``shared``): their files are taken
-    from `previous` without rendering.  Every file whose bytes `previous`
-    repeats is hard-linked from ``revisions/<N-1>`` instead of written
-    again.  Returns this revision's render, relative path -> bytes (as
-    ``_tree_files`` gives it), for the next call.
+    from `previous` without rendering, and every file whose bytes `previous`
+    repeats is hard-linked from ``revisions/<N-1>``.  Returns the render.
     """
+    files = _tree_files(tree, previous)
     revisions = Path(out_dir) / "revisions"
     target = revisions / f"{revision:04d}"
     try:
         if target.exists():
             shutil.rmtree(target)
-        return _write_tree(tree, target, previous, revisions / f"{revision - 1:04d}")
+        _write_tree(files, target, previous, revisions / f"{revision - 1:04d}")
     except OSError as exc:
         raise SnapshotIoError(str(exc)) from exc
+    return files
 
 
 # -- ledger and meta-data files ----------------------------------------------
@@ -319,12 +331,12 @@ def read_ledger(out_dir: Path) -> list[dict]:
 _MALFORMED_PARAMS = (LookupError, TypeError, ValueError, AttributeError)
 
 
-def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
-    """Re-execute the ledger on top of revision 0, yielding every revision."""
-    out_dir = Path(out_dir)
-    tree = parse_snapshot(out_dir / "revisions" / "0000")
+def replay_records(tree: AssetTree, records: list[dict],
+                   adapter) -> Iterator[tuple[int, AssetTree]]:
+    """Execute the ledger's records on the revision-0 tree, in place,
+    yielding every revision from 0."""
     yield 0, tree
-    for i, record in enumerate(read_ledger(out_dir)):
+    for i, record in enumerate(records):
         try:
             execute(tree, record["kind"], record["params"], record["op_id"],
                     adapter=adapter)
@@ -334,6 +346,12 @@ def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
         if tree.revision != record["revision_after"]:
             raise ReplayDivergence(i, "revision counter mismatch")
         yield tree.revision, tree
+
+
+def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
+    """Re-execute the ledger on top of revision 0, yielding every revision."""
+    yield from replay_records(parse_snapshot(Path(out_dir) / "revisions" / "0000"),
+                              read_ledger(out_dir), adapter)
 
 
 # -- validation --------------------------------------------------------------
@@ -351,24 +369,6 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
-
-
-def _read_snapshot(root: Path) -> dict[str, bytes]:
-    """A stored snapshot read into memory with one walk: relative path ->
-    bytes of every file, as ``_tree_files`` renders a tree."""
-    files: dict[str, bytes] = {}
-
-    def walk(path: str, rel: str) -> None:
-        with os.scandir(path) as entries:
-            for entry in entries:
-                if entry.is_dir():
-                    walk(entry.path, f"{rel}{entry.name}/")
-                elif entry.is_file():
-                    with open(entry.path, "rb") as fh:
-                        files[rel + entry.name] = fh.read()
-
-    walk(str(root), "")
-    return files
 
 
 def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
@@ -477,7 +477,8 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     memo: dict = {}
 
     try:
-        for revision, tree in replay_history(out_dir, adapter):
+        for revision, tree in replay_records(
+                parse_snapshot(revisions_dir / "0000"), records, adapter):
             for resolve, ref, where, message in checks.pop(revision, ()):
                 try:
                     resolve(tree, ref)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ManifestParseError, utf8_text
-from .history import _read_snapshot, _tree_files
+from .history import Snapshot, _read_snapshot, _tree_files
 from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
 
 SOURCE_SUFFIX = ".mini"
@@ -261,11 +261,11 @@ def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
     return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
-def check_files(files: dict[str, bytes], adapter: MinilangAdapter,
+def check_files(files: Snapshot, adapter: MinilangAdapter,
                 memo: Optional[CheckMemo] = None) -> list[str]:
-    """Problems of a snapshot held in memory as snapshot-relative path ->
-    bytes, the form ``history._tree_files`` renders a tree in and
-    ``history._read_snapshot`` reads a directory in; empty means compilable.
+    """Problems of a snapshot map (``history.Snapshot``), the form
+    ``history._tree_files`` renders a tree in and ``history._read_snapshot``
+    reads a directory in; empty means compilable.
 
     Repositories are the top-level folders, checked in name order; each
     problem is led by its repository's name.  With a memo, a repository
@@ -276,7 +276,8 @@ def check_files(files: dict[str, bytes], adapter: MinilangAdapter,
     repos: dict[str, dict[str, bytes]] = {}
     for rel, data in files.items():
         repo, _, path = rel.partition("/")
-        if path and _is_checked_file(adapter, path.rpartition("/")[2]):
+        if data is not None and path and _is_checked_file(
+                adapter, path.rpartition("/")[2]):
             repos.setdefault(repo, {})[path] = data
     problems = []
     for name, checked in sorted(repos.items()):
@@ -294,7 +295,7 @@ def check_files(files: dict[str, bytes], adapter: MinilangAdapter,
 
 
 def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
-                       files: Optional[dict[str, bytes]] = None,
+                       files: Optional[Snapshot] = None,
                        memo: Optional[CheckMemo] = None) -> list[str]:
     """Check every repository of a materialized snapshot: ``check_files`` on
     its bytes, read from `snapshot_dir` unless `files` already holds them."""

@@ -394,9 +394,6 @@ class AssetTree:
         trail: list[AssetNode] = []
         return trail if walk(self.root, trail) else None
 
-    def contains(self, node: AssetNode) -> bool:
-        return self.path_to(node) is not None
-
     def repository_of(self, node: AssetNode) -> Optional[AssetNode]:
         trail = self.path_to(node)
         if not trail:

@@ -87,18 +87,17 @@ def slice_donor(tree: AssetTree, repo: AssetNode, node: AssetNode) -> Optional[s
 
 
 def ensure_folder_path(tree: AssetTree, base: AssetNode, segments: list[str],
-                       record: Optional[OperationRecord] = None) -> AssetNode:
+                       record: OperationRecord) -> AssetNode:
     node = base
     for name in segments:
         child = node.child_named(name)
         if child is None:
             child = tree.new_node(FOLDER, name)
             node.children.append(child)
-            if record is not None:
-                record.add_sub("AddAsset", {
-                    "asset": make_asset_ref(tree, child).at_revision(
-                        record.revision_after).to_text(),
-                    "kind": FOLDER, "name": name})
+            record.add_sub("AddAsset", {
+                "asset": make_asset_ref(tree, child).at_revision(
+                    record.revision_after).to_text(),
+                "kind": FOLDER, "name": name})
         node = child
     return node
 
@@ -124,21 +123,17 @@ def update_manifest_asset(tree: AssetTree, repo: AssetNode, adapter,
 
 
 def _record_subtree_traces(tree: AssetTree, source: AssetNode, target: AssetNode,
-                           op_id: str, rev_after: int) -> int:
+                           op_id: str, rev_after: int) -> None:
     """One trace for the pair plus one per corresponding descendant."""
     src_refs, tgt_refs = (
         {n.node_id: ref.to_text() for n, ref in walk_asset_refs(
             top, make_asset_ref(tree, top).at_revision(rev_after))}
         for top in (source, target))
-    count = 0
     pairs = [(source, target)]
-    while pairs:
-        src, tgt = pairs.pop(0)
+    for src, tgt in pairs:  # breadth first: the loop reaches pairs it appends
         tree.traces.add(CloneTrace(op_id, src_refs[src.node_id],
                                    tgt_refs[tgt.node_id], src.node_id, tgt.node_id))
-        count += 1
         pairs.extend(zip(src.children, tgt.children))
-    return count
 
 
 # -- RemoveFeature -----------------------------------------------------------
@@ -164,11 +159,12 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
     exclusive_ids = {a.node_id for a in exclusive}
     pre_refs = {node.node_id: ref.to_text() for node, ref in repository_refs(
         tree, repo, lambda n: n.node_id in exclusive_ids)}
-    for asset in exclusive:
-        if not tree.contains(asset):  # ancestor already removed
-            continue
-        record.add_sub("RemoveAsset", {"asset": pre_refs[asset.node_id]})
-        detach_node(tree, asset)
+    detached: set[int] = set()
+    for asset in exclusive:  # preorder, so an ancestor comes first
+        if asset.node_id not in detached:
+            record.add_sub("RemoveAsset", {"asset": pre_refs[asset.node_id]})
+            detach_node(tree, asset)
+            detached.update(node.node_id for node in asset.iter_nodes())
 
     for node, ref in repository_refs(tree, repo,
                                      lambda n: n.mapped_features & removed_paths):

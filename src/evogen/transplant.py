@@ -17,6 +17,7 @@ from . import model
 from .errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
                      ManifestParseError, MissingDependency, NotModular,
                      SliceConflict, SnapshotIoError, utf8_text)
+from .history import _read_snapshot
 from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
@@ -31,28 +32,19 @@ def load_donor(path: Path, adapter) -> DonorProject:
     """Read a donor project directory into its immutable scan products.
     Raises DonorIoError on a file that cannot be read or is not UTF-8 text."""
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not path.is_dir() or not manifest_path.is_file():
+    if not (path / MANIFEST_NAME).is_file():
         raise DonorIoError(f"not a donor project: {path}")
 
-    def read_lines(file_path: Path) -> list[str]:
-        name = f"{path.name}/{file_path.relative_to(path).as_posix()}"
-        return utf8_text(file_path.read_bytes(), name).splitlines()
-
     try:
-        manifest = adapter.manifest_parse(read_lines(manifest_path))
+        entries = _read_snapshot(path)
+        manifest = adapter.manifest_parse(utf8_text(
+            entries[MANIFEST_NAME], f"{path.name}/{MANIFEST_NAME}").splitlines())
+        files = {rel: tuple(utf8_text(data, f"{path.name}/{rel}").splitlines())
+                 for rel, data in entries.items()
+                 if data is not None and adapter.is_source_file(rel.rpartition("/")[2])}
     except (OSError, SnapshotIoError) as exc:
         raise DonorIoError(str(exc)) from exc
     donor_id = manifest.name or path.name
-
-    files: dict[str, tuple[str, ...]] = {}
-    try:
-        for file_path in sorted(path.rglob("*")):
-            if file_path.is_file() and adapter.is_source_file(file_path.name):
-                rel = file_path.relative_to(path).as_posix()
-                files[rel] = tuple(read_lines(file_path))
-    except (OSError, SnapshotIoError) as exc:
-        raise DonorIoError(str(exc)) from exc
 
     srcdir = manifest.extras.get("srcdir", "")
     testdir = manifest.extras.get("testdir", "")

@@ -90,6 +90,35 @@ class TestGenerate:
                    for p in sorted(out_b.rglob("*")) if p.is_file()}
         assert files_a == files_b
 
+    @pytest.mark.parametrize("content,reason", [
+        (b"max_iterations: 5\n\xff\n", "not UTF-8 text"),
+        (b"max_iterations: [5\n", "expected ',' or ']'"),
+        (b"- 1\n", "its top level and checker must be mappings"),
+        (b"checker: bundledMinilang\n", "its top level and checker must be mappings"),
+    ])
+    def test_bad_config_file_exit_two_naming_it(self, runner, tmp_path, content,
+                                                reason):
+        system = write_initial_system(tmp_path / "in")
+        config = tmp_path / "bad.yaml"
+        config.write_bytes(content)
+        result = runner.invoke(main, [
+            "generate", "--config", str(config), "--system", str(system),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '--config': {config}: " in result.output
+        assert reason in result.output
+        assert "history truncated" not in result.output
+
+    def test_missing_config_file_exit_two(self, runner, tmp_path):
+        system = write_initial_system(tmp_path / "in")
+        config = tmp_path / "nope.yaml"
+        result = runner.invoke(main, [
+            "generate", "--config", str(config), "--system", str(system),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"Invalid value for '--config': {config}: " in result.output
+
     def test_config_overrides_preset(self, runner, tmp_path):
         result, out = generate_history(runner, tmp_path)
         payload = json.loads((out / "run.json").read_text())

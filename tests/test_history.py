@@ -4,16 +4,19 @@ import random
 import shutil
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
+from evogen import history as history_module
 from evogen.errors import ReplayDivergence, SnapshotIoError
-from evogen.history import (_read_snapshot, feature_state, materialize_tree,
-                            parse_initial_system, parse_snapshot, read_ledger,
-                            replay_history, validate_history,
-                            write_feature_state, write_snapshot)
+from evogen.history import (_read_snapshot, _tree_files, feature_state,
+                            materialize_tree, parse_initial_system,
+                            parse_snapshot, read_ledger, replay_history,
+                            validate_history, write_feature_state,
+                            write_snapshot)
 from evogen.minilang import MinilangAdapter, check_snapshot_dir, check_tree
-from evogen.model import AssetTree, Feature, structurally_equal
+from evogen.model import FOLDER, AssetTree, Feature, structurally_equal
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
@@ -41,20 +44,41 @@ class TestSnapshots:
         with pytest.raises(SnapshotIoError):
             parse_initial_system(tmp_path / "nope")
 
+    def test_initial_system_keeps_empty_folders(self, initial_system):
+        (initial_system / "assets" / "empty").mkdir(parents=True)
+        repo = parse_initial_system(initial_system).repositories[0]
+        assets = repo.child_named("assets")
+        assert assets.kind == FOLDER
+        assert [(n.kind, n.name, n.children) for n in assets.children] == [
+            (FOLDER, "empty", [])]
+
+    @pytest.mark.parametrize("name", [".", "sub/.."])
+    def test_relative_seed_path_names_the_repository(self, initial_system,
+                                                     monkeypatch, name):
+        (initial_system / "sub").mkdir()
+        monkeypatch.chdir(initial_system)
+        tree = parse_initial_system(Path(name))
+        assert [r.name for r in tree.repositories] == [initial_system.name]
+        assert all(rel.startswith(f"{initial_system.name}/")
+                   for rel in list(_tree_files(tree))[1:])
+
+    def test_empty_seed_directory_is_one_empty_repository(self, tmp_path):
+        (tmp_path / "seed").mkdir()
+        tree = parse_initial_system(tmp_path / "seed")
+        assert [(r.name, r.children) for r in tree.repositories] == [("seed", [])]
+        assert _tree_files(tree) == {"seed": None}
+
     @pytest.mark.parametrize("seed", range(10))
     def test_materialize_parse_round_trip(self, tmp_path, seed):
         tree = random_fs_tree(random.Random(seed))
         dest = tmp_path / f"snap{seed}"
         materialize_tree(tree, dest)
         again = parse_snapshot(dest)
-        # parse orders children by name; compare per-file bytes instead
+        # parse orders children by name; compare the snapshot maps instead
         dest2 = tmp_path / f"snap{seed}b"
         materialize_tree(again, dest2)
-        files1 = {p.relative_to(dest).as_posix(): p.read_bytes()
-                  for p in sorted(dest.rglob("*")) if p.is_file()}
-        files2 = {p.relative_to(dest2).as_posix(): p.read_bytes()
-                  for p in sorted(dest2.rglob("*")) if p.is_file()}
-        assert files1 == files2
+        assert _entries(dest) == _entries(dest2) == _tree_files(tree) == \
+            _tree_files(again)
 
     def test_write_snapshot_idempotent(self, tmp_path):
         tree = random_fs_tree(random.Random(0))
@@ -198,6 +222,35 @@ class TestValidate:
         report = validate_history(history, adapter)
         assert any(v["kind"] == "ledger" for v in report.violations)
 
+    def test_validate_reads_the_ledger_once(self, history, adapter, monkeypatch):
+        real = history_module._read_ndjson
+        reads = []
+
+        def counting(path, what):
+            reads.append(what)
+            return real(path, what)
+        monkeypatch.setattr(history_module, "_read_ndjson", counting)
+        assert validate_history(history, adapter).ok
+        assert reads.count("ledger") == 1
+
+    @pytest.mark.parametrize("change", ["remove", "add"])
+    def test_folder_change_is_a_fidelity_violation_at_that_revision(
+            self, tmp_path, adapter, change):
+        system = write_initial_system(tmp_path / "in")
+        (system / "assets").mkdir()
+        out = tmp_path / "out"
+        run(RunConfig(max_iterations=20, seed=3), system,
+            [write_donor(tmp_path / "donors", "widget")], out)
+        assert validate_history(out, adapter).ok
+        snap = _snapshots(out)[3]
+        if change == "remove":
+            (snap / "calc" / "assets").rmdir()
+        else:
+            (snap / "calc" / "assets" / "extra").mkdir()
+        assert validate_history(out, adapter).violations == [
+            {"kind": "replay-fidelity", "where": snap.name,
+             "message": "replayed state differs from stored snapshot"}]
+
     def test_uncompilable_snapshot_detected(self, history, adapter):
         victim = next((history / "revisions").glob("00*/calc/util.mini"))
         victim.write_text("import ghost.module\n")
@@ -209,6 +262,13 @@ class TestValidate:
 def _files(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _entries(root: Path) -> dict[str, Optional[bytes]]:
+    """The snapshot map of a directory: every file's bytes, None for every
+    folder."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
 
 
 def _snapshots(out: Path) -> list[Path]:
@@ -307,7 +367,7 @@ class TestIncrementalSnapshots:
         memo: dict = {}
         for snap in _snapshots(history):
             files = _read_snapshot(snap)
-            assert files == _files(snap)
+            assert files == _entries(snap)
             problems = check_snapshot_dir(snap, adapter, files, memo)
             assert problems == check_snapshot_dir(snap, adapter) == \
                 check_tree(parse_snapshot(snap), adapter)
@@ -328,7 +388,8 @@ class TestIncrementalSnapshots:
         for rel, data in contents.items():
             (snap / rel).write_bytes(data)
         files = _read_snapshot(snap)
-        assert files == contents
+        assert files == {"empty": None, "repo": None, "repo/lib": None,
+                         "repo/lib/deep": None} | contents
         # line numbers count every break str.splitlines knows, as a parse does
         expected = ["repo/lib/x.mini:2: unbalanced closing brace",
                     "repo/main.mini:4: unbalanced closing brace",

@@ -60,6 +60,19 @@ class TestRemoveFeature:
         assert repo.child_named("a.mini") is None
         assert repo.feature_model.paths() == [("r",)]
 
+    def test_exclusive_folder_and_its_file_are_removed_once(self):
+        tree = AssetTree()
+        repo = build_repo(tree, "r", {"d/a.mini": ["x"], "b.mini": ["y"]})
+        repo.feature_model.root.children = [Feature("F", "f")]
+        folder = repo.child_named("d")
+        folder.mapped_features = {("r", "F")}
+        folder.child_named("a.mini").mapped_features = {("r", "F")}
+        ref = make_feature_ref(tree, repo, repo.feature_model.find(("r", "F")))
+        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+        assert [(s.kind, s.params) for s in record.sub_ops] == [
+            ("RemoveAsset", {"asset": "0:/r/d"})]
+        assert [n.name for n in repo.children] == ["b.mini"]
+
     def test_sub_op_refs_cite_pre_state(self):
         # two exclusive siblings: the second ref must still resolve in the
         # pre-state even though removing the first shifts its index

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -50,6 +51,27 @@ class TestLoadDonor:
         (donor / "src" / "lib" / "mod1.mini").write_text("import nowhere.x\n")
         with pytest.raises(MissingDependency):
             load_donor(donor, adapter)
+
+    def test_scan_does_not_depend_on_listing_order(self, donor_dir, adapter,
+                                                   monkeypatch):
+        expected = load_donor(donor_dir, adapter)
+        real = os.scandir
+
+        class Listing(list):  # iterable and a context manager, as os.scandir's result
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        def reversed_scandir(path):
+            with real(path) as entries:
+                return Listing(reversed(list(entries)))
+        monkeypatch.setattr(os, "scandir", reversed_scandir)
+        donor = load_donor(donor_dir, adapter)
+        assert donor == expected
+        assert list(donor.files) == list(expected.files) == sorted(
+            expected.files, key=lambda rel: rel.split("/"))
 
     def test_scan_is_deterministic(self, donor_dir, adapter):
         a = load_donor(donor_dir, adapter)
