@@ -18,7 +18,7 @@ directories.
 Snapshots, files and folders alike, have one in-memory form, the ``Snapshot``
 map: ``_tree_files`` renders it, ``_read_snapshot`` reads it from a directory
 (seed, donor, stored snapshot), ``_build_tree`` parses and ``_write_tree``
-writes it.
+writes it.  A repository's render is kept on its node (``AssetNode.derived``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -112,24 +113,30 @@ def _file_bytes(node: AssetNode) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def _tree_files(tree: AssetTree, previous: Optional[Snapshot] = None) -> Snapshot:
-    """The one render of a tree's snapshot.  With `previous`, the render of
-    revision N-1, the files of a repository the tree still shares are taken
-    from it without rendering (see ``write_snapshot``)."""
-    clean = tree.shared if previous is not None else ()
+def _repo_files(repo: AssetNode) -> Snapshot:
+    """The render of one repository, kept on its node."""
+    if "files" not in repo.derived:
+        files: Snapshot = {}
+
+        def walk(node: AssetNode, rel: str) -> None:
+            files[rel] = None
+            for child in node.children:
+                path = f"{rel}/{child.name}"
+                if child.kind != FILE:
+                    walk(child, path)
+                else:
+                    files[path] = _file_bytes(child)
+
+        walk(repo, repo.name)
+        repo.derived["files"] = files
+    return repo.derived["files"]
+
+
+def _tree_files(tree: AssetTree) -> Snapshot:
+    """The one render of a tree's snapshot: its repositories' renders."""
     files: Snapshot = {}
-
-    def walk(node: AssetNode, rel: str, reuse: bool) -> None:
-        files[rel] = None
-        for child in node.children:
-            path = f"{rel}/{child.name}"
-            if child.kind != FILE:
-                walk(child, path, reuse)
-            else:
-                files[path] = previous[path] if reuse else _file_bytes(child)
-
     for repo in tree.repositories:
-        walk(repo, repo.name, repo.name in clean)
+        files.update(_repo_files(repo))
     return files
 
 
@@ -160,14 +167,11 @@ def write_snapshot(tree: AssetTree, revision: int, out_dir: Path,
                    previous: Optional[Snapshot] = None) -> Snapshot:
     """Mirror the asset tree to out/revisions/NNNN; idempotent.
 
-    `previous` is the render this function returned for revision N-1, and
-    the tree's ``shared`` then names the repositories unchanged since that
-    revision (see ``operations.run_in_transaction``; call this before the
-    tree is cloned again, which resets ``shared``): their files are taken
-    from `previous` without rendering, and every file whose bytes `previous`
-    repeats is hard-linked from ``revisions/<N-1>``.  Returns the render.
+    `previous` is the render this function returned for revision N-1: every
+    file whose bytes it repeats is hard-linked from ``revisions/<N-1>``.
+    Returns the render.
     """
-    files = _tree_files(tree, previous)
+    files = _tree_files(tree)
     revisions = Path(out_dir) / "revisions"
     target = revisions / f"{revision:04d}"
     try:
@@ -235,31 +239,24 @@ def feature_state(tree: AssetTree) -> dict:
 _ASSET_AT = '"asset": "{}:'
 
 
-def write_feature_state(tree: AssetTree, out_dir: Path,
-                        previous: Optional[dict[str, list[str]]] = None
-                        ) -> dict[str, list[str]]:
-    """Write ``features/NNNN.json``, the bytes of
-    ``json.dumps(feature_state(tree), sort_keys=True, indent=1) + "\\n"``.
+def _repo_fragment(tree: AssetTree, repo: AssetNode) -> list[str]:
+    """A repository's entry in ``features/NNNN.json``, kept on its node: its
+    indented JSON text, split where a mapped asset's ref names the revision."""
+    if "fragment" not in repo.derived:
+        entry = json.dumps(_repo_state(tree, repo), sort_keys=True, indent=1)
+        repo.derived["fragment"] = entry.replace("\n", "\n  ").split(
+            _ASSET_AT.format(tree.revision))
+    return repo.derived["fragment"]
 
-    Each repository's entry is encoded on its own as a fragment: its JSON
-    text, indented to its place in the file and split where a mapped
-    asset's ref names the revision.  `previous` is what this function
-    returned for revision N-1, and the tree's ``shared`` then names the
-    repositories unchanged since that revision, as for ``write_snapshot``:
-    they reuse its fragments, which differ only in that revision.  Returns the fragments by
-    repository name, for the next call.
-    """
+
+def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
+    """Write ``features/NNNN.json``, the bytes of
+    ``json.dumps(feature_state(tree), sort_keys=True, indent=1) + "\\n"``,
+    joined from the repositories' fragments."""
     at = _ASSET_AT.format(tree.revision)
-    clean = tree.shared if previous is not None else ()
-    fragments: dict[str, list[str]] = {}
-    for repo in tree.repositories:
-        if repo.name in clean:
-            fragments[repo.name] = previous[repo.name]
-        else:
-            entry = json.dumps(_repo_state(tree, repo), sort_keys=True, indent=1)
-            fragments[repo.name] = entry.replace("\n", "\n  ").split(at)
-    entries = ",".join(f"\n  {json.dumps(name)}: {at.join(pieces)}"
-                       for name, pieces in sorted(fragments.items()))
+    entries = ",".join(
+        f"\n  {json.dumps(repo.name)}: {at.join(_repo_fragment(tree, repo))}"
+        for repo in sorted(tree.repositories, key=attrgetter("name")))
     repos = f"{{{entries}\n }}" if entries else "{}"
     text = (f'{{\n "repos": {repos},\n "revision": {tree.revision},'
             f'\n "schema": {SCHEMA_VERSION}\n}}\n')
@@ -267,7 +264,6 @@ def write_feature_state(tree: AssetTree, out_dir: Path,
     features_dir.mkdir(parents=True, exist_ok=True)
     path = features_dir / f"{tree.revision:04d}.json"
     path.write_text(text, encoding="utf-8", newline="\n")
-    return fragments
 
 
 def _read_ndjson(path: Path, what: str) -> list[dict]:
@@ -474,28 +470,30 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
     checks = _ref_checks(records, stored_traces, report)
-    memo: dict = {}
+    files = _read_snapshot(revisions_dir / "0000")
 
     try:
-        for revision, tree in replay_records(
-                parse_snapshot(revisions_dir / "0000"), records, adapter):
+        for revision, tree in replay_records(_build_tree(files), records, adapter):
             for resolve, ref, where, message in checks.pop(revision, ()):
                 try:
                     resolve(tree, ref)
                 except EvogenError:
                     report.add("ref-resolution", where, message)
             snap = revisions_dir / f"{revision:04d}"
-            if not snap.is_dir():
-                report.add("replay", snap.name, "snapshot missing")
-                continue
-            files = _read_snapshot(snap)
-            if _tree_files(tree) != files:
+            if revision:  # revision 0 was read above
+                if not snap.is_dir():
+                    report.add("replay", snap.name, "snapshot missing")
+                    continue
+                files = _read_snapshot(snap)
+            faithful = _tree_files(tree) == files
+            if not faithful:
                 report.add("replay-fidelity", snap.name,
                            "replayed state differs from stored snapshot")
             try:
                 # one call per revision with the snapshot directory first: the
                 # benchmark's tracer counts repositories from that argument
-                problems = check_snapshot_dir(snap, adapter, files, memo)
+                problems = check_snapshot_dir(snap, adapter, files,
+                                              tree if faithful else None)
             except SnapshotIoError as exc:
                 problems = [str(exc)]
             for problem in problems:

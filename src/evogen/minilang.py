@@ -16,11 +16,12 @@ every language-specific hook the engine needs:
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ManifestParseError, utf8_text
-from .history import Snapshot, _read_snapshot, _tree_files
+from .history import Snapshot, _read_snapshot, _repo_files
 from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
 
 SOURCE_SUFFIX = ".mini"
@@ -251,27 +252,18 @@ def check_listing(files: Listing, adapter: MinilangAdapter) -> list[str]:
     return problems
 
 
-#: repository name -> (bytes of its checked files by repository-relative
-#: path, their problems) from the last check of that repository; valid across
-#: checks because ``check_listing`` is a pure function of those bytes
-CheckMemo = dict[str, tuple[dict[str, bytes], list[str]]]
-
-
 def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
     return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
-def check_files(files: Snapshot, adapter: MinilangAdapter,
-                memo: Optional[CheckMemo] = None) -> list[str]:
+def check_files(files: Snapshot, adapter: MinilangAdapter) -> list[str]:
     """Problems of a snapshot map (``history.Snapshot``), the form
     ``history._tree_files`` renders a tree in and ``history._read_snapshot``
     reads a directory in; empty means compilable.
 
     Repositories are the top-level folders, checked in name order; each
-    problem is led by its repository's name.  With a memo, a repository
-    whose checked files hold the bytes of its last check reuses that check's
-    problems.  Raises SnapshotIoError naming a checked file that is not
-    UTF-8 text.
+    problem is led by its repository's name.  Raises SnapshotIoError naming
+    a checked file that is not UTF-8 text.
     """
     repos: dict[str, dict[str, bytes]] = {}
     for rel, data in files.items():
@@ -281,32 +273,34 @@ def check_files(files: Snapshot, adapter: MinilangAdapter,
             repos.setdefault(repo, {})[path] = data
     problems = []
     for name, checked in sorted(repos.items()):
-        last = memo.get(name) if memo is not None else None
-        if last is not None and last[0] == checked:
-            found = last[1]
-        else:
-            found = check_listing(
-                {tuple(path.split("/")): utf8_text(data, f"{name}/{path}").splitlines()
-                 for path, data in checked.items()}, adapter)
-            if memo is not None:
-                memo[name] = (checked, found)
+        found = check_listing(
+            {tuple(path.split("/")): utf8_text(data, f"{name}/{path}").splitlines()
+             for path, data in checked.items()}, adapter)
         problems.extend(f"{name}/{msg}" for msg in found)
     return problems
 
 
 def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
                        files: Optional[Snapshot] = None,
-                       memo: Optional[CheckMemo] = None) -> list[str]:
+                       tree: Optional[AssetTree] = None) -> list[str]:
     """Check every repository of a materialized snapshot: ``check_files`` on
-    its bytes, read from `snapshot_dir` unless `files` already holds them."""
+    its bytes, read from `snapshot_dir` unless `files` already holds them.
+    `tree`, when given, renders to exactly those bytes, so ``check_tree`` of
+    it, which keeps each repository's problems, is the answer."""
+    if tree is not None:
+        return check_tree(tree, adapter)
     if files is None:
         files = _read_snapshot(Path(snapshot_dir))
-    return check_files(files, adapter, memo)
+    return check_files(files, adapter)
 
 
-def check_tree(tree: AssetTree, adapter: MinilangAdapter,
-               memo: Optional[CheckMemo] = None) -> list[str]:
-    """Check every repository of the tree in memory: ``check_files`` on the
-    bytes its snapshot holds, so it equals ``check_snapshot_dir`` on a
-    materialized copy of the tree by construction."""
-    return check_files(_tree_files(tree), adapter, memo)
+def check_tree(tree: AssetTree, adapter: MinilangAdapter) -> list[str]:
+    """``check_files`` on each repository's render, in name order, so it
+    equals ``check_snapshot_dir`` on a materialized copy of the tree by
+    construction; each repository's problems are kept on its node."""
+    problems = []
+    for repo in sorted(tree.repositories, key=attrgetter("name")):
+        if "problems" not in repo.derived:
+            repo.derived["problems"] = check_files(_repo_files(repo), adapter)
+        problems.extend(repo.derived["problems"])
+    return problems

@@ -103,6 +103,9 @@ class AssetNode:
     children: list["AssetNode"] = field(default_factory=list)
     mapped_features: set[tuple[str, ...]] = field(default_factory=set)
     feature_model: Optional[FeatureModel] = None
+    #: values computed from a repository's subtree, valid while the node
+    #: lives: no copy inherits them and ``AssetTree.own`` clears them
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     def iter_nodes(self) -> Iterator["AssetNode"]:
         yield self
@@ -452,10 +455,10 @@ class AssetTree:
         """A copy of the tree that shares every repository node with it.
 
         Only the root node and its child list are copied.  Afterwards both
-        trees name all repositories in ``shared``, and neither may change a
-        shared repository in place: whoever writes to repository ``name``
-        calls ``own(name)`` first and then looks up every node it changes
-        anew, since nodes found before that belong to the shared copy.
+        trees name all repositories in ``shared``.  The write rule holds for
+        every tree, a clone or not: change a repository only after
+        ``own(name)``, and look up every node you change anew after that
+        call, since nodes found before it may belong to a shared copy.
         """
         twin = AssetTree.__new__(AssetTree)
         twin._next_id = self._next_id
@@ -468,28 +471,32 @@ class AssetTree:
         return twin
 
     def own(self, name) -> None:
-        """Make repository `name` this tree's own before it is changed.
+        """The write barrier: call it before repository `name` is changed.
 
         While `name` is shared (see ``clone``), the repository is replaced in
         this tree by a copy with the same node ids, so traces, refs and
         ``corresponding_asset`` still match, and the name leaves this tree's
-        ``shared`` only; a copy that shares the set is not affected.  Any
-        other name, a malformed one included, is left alone: this never
-        raises, so a bad ref fails where it is resolved.
+        ``shared`` only; a copy that shares the set is not affected.  A
+        repository the tree already owns is changed in place, so its
+        ``derived`` values are cleared.  Any other name, a malformed one
+        included, is left alone: this never raises, so a bad ref fails where
+        it is resolved.
         """
-        if not isinstance(name, str) or name not in self.shared:
-            return
         children = self.root.children
-        for i, child in enumerate(children):
-            if child.kind == REPOSITORY and child.name == name:
-                children[i] = _copy_node(child, attrgetter("node_id"))
-                break
-        self.shared = self.shared - {name}
+        for i, repo in enumerate(children):
+            if repo.kind == REPOSITORY and repo.name == name:
+                if name in self.shared:
+                    children[i] = _copy_node(repo, attrgetter("node_id"))
+                    self.shared = self.shared - {name}
+                else:
+                    repo.derived.clear()
+                return
 
 
 def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNode:
-    """Copy a subtree, each copy numbered `node_id(original)`.  Arguments are
-    evaluated left to right, so a parent is numbered before its children."""
+    """Copy a subtree, each copy numbered `node_id(original)` and with no
+    ``derived`` values.  Arguments are evaluated left to right, so a parent
+    is numbered before its children."""
     return AssetNode(
         node.kind, node.name, node_id(node),
         None if node.content is None else list(node.content),

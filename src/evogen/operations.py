@@ -402,9 +402,8 @@ def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,
     Returns Committed (with the new tree at revision + 1) or RolledBack; the
     input tree is never touched.  The scratch copy shares every repository
     with the input tree, and each handler calls ``scratch.own(name)`` for
-    the repository it changes before it resolves any ref into it; so a
-    committed tree's ``shared`` names the repositories that are unchanged
-    since the input tree's revision.
+    the repository it changes before it resolves any ref into it; so every
+    other repository keeps its nodes and the values kept on them.
     """
     scratch = tree.clone()
     try:

@@ -25,7 +25,7 @@ from .history import (append_ledger, append_traces, parse_initial_system,
                       write_feature_state, write_snapshot)
 # check_snapshot_dir is unused here, but perfbench/tracer.py patches
 # runner.check_snapshot_dir, so the binding stays until the benchmark drops it
-from .minilang import (CheckMemo, MinilangAdapter, check_snapshot_dir,  # noqa: F401
+from .minilang import (MinilangAdapter, check_snapshot_dir,  # noqa: F401
                        check_tree)
 from .model import AssetTree
 from .operations import Committed, run_in_transaction
@@ -132,8 +132,7 @@ def select_generator(distribution: dict[str, float], rng: random.Random) -> str:
 def make_checker(config: RunConfig, adapter) -> Callable[[AssetTree], list[str]]:
     """The compilability gate: problems of a tree, empty when it compiles."""
     if config.checker_kind == BUNDLED_CHECKER:
-        memo: CheckMemo = {}  # one per run: unchanged repositories are not re-checked
-        return lambda tree: check_tree(tree, adapter, memo)
+        return lambda tree: check_tree(tree, adapter)
     if config.checker_kind == EXTERNAL_CHECKER:
         if not config.checker_cmd:
             raise EvogenError("externalCommand checker needs checker.cmd")
@@ -233,11 +232,11 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
         raise BadDistribution(f"unknown generators: {sorted(unknown)}")
     terminated = parse_termination(config.termination)
 
-    rendered = write_snapshot(tree, 0, out_dir)
     problems = checker(tree)
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
-    states = write_feature_state(tree, out_dir)
+    rendered = write_snapshot(tree, 0, out_dir)
+    write_feature_state(tree, out_dir)
     debug_path = out_dir / "debug.log"
     debug = open(debug_path, "w", encoding="utf-8", newline="\n")
 
@@ -274,7 +273,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
                     append_ledger(result.record.to_dict(), out_dir)
                     append_traces(tree.traces.traces[traces_persisted:], out_dir)
                     traces_persisted = len(tree.traces.traces)
-                    states = write_feature_state(tree, out_dir, states)
+                    write_feature_state(tree, out_dir)
                     summary.committed[gen_id] = summary.committed.get(gen_id, 0) + 1
                     committed = True
                     break

@@ -1,24 +1,31 @@
-"""Oracles for the in-memory compilability gate and for transactions.
+"""Oracles for the values kept on repository nodes, the in-memory
+compilability gate and transactions.
 
-On every attempt of seeded histories, rolled-back ones included, the problem
-list the bundled checker computes from the asset tree must equal
-``check_snapshot_dir`` on a materialized copy of the same tree, and, since the
-checker reuses the problems of repositories whose listing did not change, it
-must also equal ``check_tree`` without a memo.  On the same attempts,
-``run_in_transaction`` must leave its input tree as it found it, and its
-scratch copy must share every repository it did not ``own`` with the input
-tree and hold a separate copy, with the same node ids, of the one it did.
+A repository's render, problems and feature-state fragment are kept on its
+node (``AssetNode.derived``).  On every attempt of seeded histories, rolled-back
+ones included, and at every revision ``validate_history`` replays, each kept
+value must equal the same value computed afresh on a copy of the node, and
+the gate's problem list must equal ``check_snapshot_dir`` on a materialized
+copy of the tree.  A repository an attempt does not ``own`` keeps the problem
+list the input tree's check left on it.  With ``own`` disabled the oracle
+must find stale values.  On the same attempts, ``run_in_transaction`` must
+leave its input tree as it found it, and its scratch copy must share every
+repository it did not ``own`` with the input tree and hold a separate copy,
+with the same node ids, of the one it did.
 """
 
 import copy
 import shutil
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 
-from evogen import minilang, model, runner
-from evogen.history import _tree_files, feature_state, materialize_tree
+from evogen import history, model, runner
+from evogen.history import (_repo_files, _repo_fragment, _tree_files,
+                            feature_state, materialize_tree, validate_history)
 from evogen.operations import Committed
-from evogen.minilang import check_snapshot_dir, check_tree
+from evogen.minilang import MinilangAdapter, check_files, check_snapshot_dir
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
 from conftest import write_donor, write_initial_system
@@ -41,57 +48,116 @@ def corpus(tmp_path_factory):
     return system, donors
 
 
-@pytest.mark.parametrize("mix", MIXES)
-def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_path,
-                                                             monkeypatch):
+def _config(mix: str) -> RunConfig:
     config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
     config.max_iterations = MIXES[mix]
     config.seed = 1
-    verdicts: list[bool] = []
-    mismatches: list[tuple[list[str], ...]] = []
-    make_checker = runner.make_checker
-    real_check_listing = minilang.check_listing
-    counts = {"listings checked": 0, "repositories": 0}
+    return config
 
-    def counting_check_listing(files, adapter):
-        counts["listings checked"] += 1
-        return real_check_listing(files, adapter)
+
+def _check_kept(tree: model.AssetTree, adapter, seen: dict, phase: str) -> None:
+    """Compare every value kept on a repository node of `tree` with the value
+    computed afresh on a copy of the node; count it in ``seen["checked"]``
+    and list it in ``seen["stale in <phase>"]`` when they differ."""
+    for repo in tree.repositories:
+        twin = model._copy_node(repo, attrgetter("node_id"))
+        fresh = {"files": lambda: _repo_files(twin),
+                 "problems": lambda: check_files(_repo_files(twin), adapter),
+                 "fragment": lambda: _repo_fragment(tree, twin)}
+        for key, value in repo.derived.items():
+            seen["checked"][f"{key} in {phase}"] += 1
+            if value != fresh[key]():
+                seen[f"stale in {phase}"].append(f"{repo.name}: {key}")
+
+
+def _generate_and_validate(config, corpus, tmp_path, monkeypatch) -> dict:
+    """Generate and validate a history, checking every attempt and every
+    replayed revision; returns what was seen and every mismatch found."""
+    seen = {"stale in generate": [], "stale in validate": [], "gate vs disk": [],
+            "problems not reused": [], "verdicts": [], "replayed": 0,
+            "checked": Counter()}
+    make_checker = runner.make_checker
+    real_transaction = runner.run_in_transaction
+    real_replay = history.replay_records
+    input_problems: dict = {}  # of the attempt's input tree, by repository
 
     def oracle_checker(config, adapter):
         in_memory = make_checker(config, adapter)
 
         def checker(tree):
-            monkeypatch.setattr(minilang, "check_listing", counting_check_listing)
             problems = in_memory(tree)
-            monkeypatch.setattr(minilang, "check_listing", real_check_listing)
-            counts["repositories"] += len(tree.repositories)
+            _check_kept(tree, adapter, seen, "generate")
+            # tree.shared names the repositories this attempt did not own
+            seen["problems not reused"].extend(
+                name for name in tree.shared
+                if input_problems[name] is None or
+                tree.find_repository(name).derived["problems"] is not input_problems[name])
             snap = tmp_path / "snap"
             materialize_tree(tree, snap)
             on_disk = check_snapshot_dir(snap, adapter)
             shutil.rmtree(snap)
-            fresh = check_tree(tree, adapter)
-            verdicts.append(not problems)
-            if not problems == on_disk == fresh:
-                mismatches.append((problems, on_disk, fresh))
+            seen["verdicts"].append(not problems)
+            if problems != on_disk:
+                seen["gate vs disk"].append((problems, on_disk))
             return problems
         return checker
 
+    def transaction(tree, *args, adapter=None, **kwargs):
+        input_problems.clear()
+        input_problems.update((repo.name, repo.derived.get("problems"))
+                              for repo in tree.repositories)
+        result = real_transaction(tree, *args, adapter=adapter, **kwargs)
+        _check_kept(tree, adapter, seen, "generate")
+        return result
+
+    def replay(tree, records, adapter):
+        for revision, tree in real_replay(tree, records, adapter):
+            yield revision, tree
+            # resumed once validate has checked this revision
+            _check_kept(tree, adapter, seen, "validate")
+            seen["replayed"] += 1
+
     monkeypatch.setattr(runner, "make_checker", oracle_checker)
+    monkeypatch.setattr(runner, "run_in_transaction", transaction)
+    monkeypatch.setattr(history, "replay_records", replay)
     system, donors = corpus
-    summary = run(config, system, donors, tmp_path / "out")
-    assert mismatches == []
-    # the memo spared the repositories whose listing had not changed
-    assert 0 < counts["listings checked"] < counts["repositories"]
-    assert verdicts.count(True) == summary.committed_total + 1  # + revision 0
-    assert verdicts.count(False) > 0
+    seen["summary"] = run(config, system, donors, tmp_path / "out")
+    seen["report"] = validate_history(tmp_path / "out", MinilangAdapter())
+    return seen
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_path,
+                                                             monkeypatch):
+    seen = _generate_and_validate(_config(mix), corpus, tmp_path, monkeypatch)
+    committed = seen["summary"].committed_total
+    assert seen["report"].ok, seen["report"].violations
+    assert seen["stale in generate"] == []
+    assert seen["stale in validate"] == []
+    assert seen["gate vs disk"] == []
+    assert seen["problems not reused"] == []
+    assert seen["replayed"] == committed + 1
+    # every kind of kept value was seen; validate writes no feature state
+    assert set(seen["checked"]) == {
+        "files in generate", "problems in generate", "fragment in generate",
+        "files in validate", "problems in validate"}
+    assert seen["verdicts"].count(True) == committed + 1  # + revision 0
+    assert seen["verdicts"].count(False) > 0
+
+
+@pytest.mark.parametrize("mix", MIXES)
+def test_oracle_finds_stale_values_when_own_does_nothing(mix, corpus, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(model.AssetTree, "own", lambda tree, name: None)
+    seen = _generate_and_validate(_config(mix), corpus, tmp_path, monkeypatch)
+    assert seen["stale in generate"] != []
+    assert seen["stale in validate"] != []
 
 
 @pytest.mark.parametrize("mix", MIXES)
 def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
                                                      monkeypatch):
-    config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
-    config.max_iterations = MIXES[mix]
-    config.seed = 1
+    config = _config(mix)
     real_run_in_transaction = runner.run_in_transaction
     real_clone = model.AssetTree.clone
     outcomes = {"committed": 0, "rolled back": 0}

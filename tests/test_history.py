@@ -9,6 +9,7 @@ from typing import Optional
 import pytest
 
 from evogen import history as history_module
+from evogen import minilang, runner
 from evogen.errors import ReplayDivergence, SnapshotIoError
 from evogen.history import (_read_snapshot, _tree_files, feature_state,
                             materialize_tree, parse_initial_system,
@@ -233,6 +234,19 @@ class TestValidate:
         assert validate_history(history, adapter).ok
         assert reads.count("ledger") == 1
 
+    def test_validate_reads_each_snapshot_once(self, history, adapter,
+                                               monkeypatch):
+        real = history_module._read_snapshot
+        reads = []
+
+        def counting(root, prefix=""):
+            reads.append(Path(root).name)
+            return real(root, prefix)
+        monkeypatch.setattr(history_module, "_read_snapshot", counting)
+        monkeypatch.setattr(minilang, "_read_snapshot", counting)
+        assert validate_history(history, adapter).ok
+        assert reads == [snap.name for snap in _snapshots(history)]
+
     @pytest.mark.parametrize("change", ["remove", "add"])
     def test_folder_change_is_a_fidelity_violation_at_that_revision(
             self, tmp_path, adapter, change):
@@ -284,6 +298,37 @@ CLONE_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
 class TestIncrementalSnapshots:
     """Unchanged snapshot files are hard links to revision N-1; the bytes of
     every revision stay what a full write of the replayed tree gives."""
+
+    @pytest.mark.parametrize("mix", ["growing-system", "clones"])
+    def test_snapshot_writes_reuse_the_gates_render(self, tmp_path, monkeypatch,
+                                                    mix):
+        # the bundled gate renders every repository an attempt owned or
+        # added, and keeps the render on its node for the snapshot writer
+        real_bytes = history_module._file_bytes
+        real_write = runner.write_snapshot
+        rendered = {"by the gate": 0, "by write_snapshot": 0}
+        writing = []
+
+        def counting_bytes(node):
+            rendered["by write_snapshot" if writing else "by the gate"] += 1
+            return real_bytes(node)
+
+        def flagged_write(*args, **kwargs):
+            writing.append(True)
+            try:
+                return real_write(*args, **kwargs)
+            finally:
+                writing.pop()
+        monkeypatch.setattr(history_module, "_file_bytes", counting_bytes)
+        monkeypatch.setattr(runner, "write_snapshot", flagged_write)
+        config = RunConfig(distribution=CLONE_MIX) if mix == "clones" else preset(mix)
+        config.max_iterations, config.seed = 40, 1
+        summary = run(config, write_initial_system(tmp_path / "in"),
+                      [write_donor(tmp_path / "donors", "donor0", tests=8)],
+                      tmp_path / "out")
+        assert summary.committed_total > 0
+        assert rendered["by the gate"] > 0
+        assert rendered["by write_snapshot"] == 0
 
     @pytest.mark.parametrize("mix,seed", [("growing-system", 4), ("clones", 1),
                                           ("uniform-generators", 2)])
@@ -362,15 +407,19 @@ class TestIncrementalSnapshots:
                 if v["kind"] == "replay-fidelity"} == sharing
 
     def test_listings_from_bytes_equal_disk_listings(self, history, adapter):
-        # the check of bytes read once, with the memo validate keeps, equals
-        # a fresh check of the directory and of its parsed tree
-        memo: dict = {}
-        for snap in _snapshots(history):
+        # the check of bytes read once, with the replayed tree whose kept
+        # problems validate reuses, equals a fresh check of the directory and
+        # of its parsed tree
+        snapshots = _snapshots(history)
+        for revision, tree in replay_history(history, adapter):
+            snap = snapshots[revision]
             files = _read_snapshot(snap)
-            assert files == _entries(snap)
-            problems = check_snapshot_dir(snap, adapter, files, memo)
-            assert problems == check_snapshot_dir(snap, adapter) == \
+            assert files == _entries(snap) == _tree_files(tree)
+            problems = check_snapshot_dir(snap, adapter, files, tree)
+            assert problems == check_snapshot_dir(snap, adapter, files) == \
+                check_snapshot_dir(snap, adapter) == \
                 check_tree(parse_snapshot(snap), adapter)
+        assert revision == len(snapshots) - 1
 
     def test_listings_from_bytes_keep_line_breaks_of_disk_reads(self, tmp_path,
                                                                 adapter):
@@ -405,8 +454,8 @@ def _full_feature_state(tree: AssetTree) -> bytes:
 
 
 class TestFeatureStateBytes:
-    """``features/NNNN.json`` is assembled from per-repository fragments, and
-    a repository unchanged since revision N-1 reuses that revision's; the
+    """``features/NNNN.json`` is assembled from per-repository fragments,
+    each kept on its repository node until the node is owned again; the
     bytes stay those of one ``json.dumps`` of the tree's feature state."""
 
     @pytest.mark.parametrize("mix", [*PRESET_NAMES, "variants"])
@@ -445,11 +494,12 @@ class TestFeatureStateBytes:
                 node.mapped_features = {(repo.name, n) for n in chosen}
         tree.revision = 3
 
-        def check(tree, previous=None):
-            fragments = write_feature_state(tree, tmp_path, previous)
+        def check(tree):
+            write_feature_state(tree, tmp_path)
             path = tmp_path / "features" / f"{tree.revision:04d}.json"
             assert path.read_bytes() == _full_feature_state(tree)
-            return fragments
+            return {repo.name: repo.derived["fragment"]
+                    for repo in tree.repositories}
 
         first = check(tree)
         # one repository changes, the other two are reused
@@ -457,12 +507,13 @@ class TestFeatureStateBytes:
         twin.own("zz")
         twin.find_repository("zz").children[0].mapped_features = {("zz", names[3])}
         twin.revision += 1
-        second = check(twin, first)
+        second = check(twin)
         assert second["plain"] is first["plain"]
         assert second["zz"] is not first["zz"]
         # nothing changes; revision 9 to 10 changes the prefix length
         for _ in range(6):
             twin = twin.clone()
             twin.revision += 1
-            second = check(twin, second)
+            assert all(fragment is second[name]
+                       for name, fragment in check(twin).items())
         assert twin.revision == 10

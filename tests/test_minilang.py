@@ -278,7 +278,8 @@ class TestCheckerFixes:
         message = "calc/main.mini: not UTF-8 text"
         for feed in (lambda: check_files(_read_snapshot(tmp_path), mini),
                      lambda: check_snapshot_dir(tmp_path, mini),
-                     lambda: check_snapshot_dir(tmp_path, mini, memo={})):
+                     lambda: check_snapshot_dir(tmp_path, mini,
+                                                _read_snapshot(tmp_path))):
             with pytest.raises(SnapshotIoError, match=message):
                 feed()
 

@@ -108,6 +108,7 @@ class TestChecker:
         has_main = RunConfig(checker_kind="externalCommand",
                              checker_cmd="test -f calc/main.mini")
         assert make_checker(has_main, None)(tree) == []
+        tree.own("calc")  # the write rule: own a repository, then change it
         tree.find_repository("calc").children.clear()
         assert make_checker(has_main, None)(tree) == ["checker exit status 1"]
 
