@@ -14,9 +14,10 @@ from typing import Optional
 
 from . import model
 from .errors import EvogenError
+from .history import _repo_files
 from .model import FILE, MANIFEST_NAME, AssetNode, AssetTree
 from .operations import ADD_LINE, DELETE_LINE, REPLACE_LINE
-from .refs import make_asset_ref, make_feature_ref
+from .refs import AssetRef, make_asset_ref, make_feature_ref, resolve_asset_ref
 from .transplant import extract_organ, legal_insertion_points
 
 GENERATOR_IDS = ("removeFeature", "mutAdd", "mutReplace", "mutDelete",
@@ -35,23 +36,6 @@ class GenContext:
     sensibility_discard_prob: float = 0.5
     #: (donor id, test id) pairs already attempted; owned by the runner
     consumed: set[tuple[str, str]] = field(default_factory=set)
-
-
-# -- helpers -----------------------------------------------------------------
-
-def _mutable_files(tree: AssetTree) -> list[AssetNode]:
-    return [f for f in tree.iter_files() if f.name != MANIFEST_NAME]
-
-
-def _folder_lines(tree: AssetTree, target: AssetNode) -> list[str]:
-    """All lines of non-manifest files in the folder containing `target`."""
-    trail = tree.path_to(target)
-    parent = trail[-2]
-    lines: list[str] = []
-    for child in parent.children:
-        if child.kind == FILE and child.name != MANIFEST_NAME:
-            lines.extend(model.flatten_lines(child))
-    return lines
 
 
 # -- the seven generators ----------------------------------------------------
@@ -75,15 +59,24 @@ def gen_remove_feature(tree: AssetTree, rng: random.Random,
 
 def _gen_mutate(mutation: str, tree: AssetTree, rng: random.Random,
                 ctx: GenContext) -> Optional[CandidateOperation]:
-    files = [f for f in _mutable_files(tree) if model.file_line_count(f) > 0]
+    """Uniform over the files with lines, except manifests, as the kept
+    renders list them (preorder), then over the target's lines and, for a
+    donor line, over the lines of the target's folder."""
+    files = [rel for repo in tree.repositories
+             for rel, data in _repo_files(repo).items()
+             if data and rel.rpartition("/")[2] != MANIFEST_NAME]
     if not files:
         return None
-    target = files[rng.randrange(len(files))]
-    lines = model.flatten_lines(target)
+    target_ref = AssetRef(tree.revision, "/" + files[rng.randrange(len(files))])
+    lines = model.flatten_lines(resolve_asset_ref(tree, target_ref))
     l1 = rng.randrange(len(lines))
     donor_line = None
     if mutation in (ADD_LINE, REPLACE_LINE):
-        pool = _folder_lines(tree, target)
+        folder = resolve_asset_ref(tree, AssetRef(
+            tree.revision, target_ref.fs_path.rpartition("/")[0]))
+        pool = [line for child in folder.children
+                if child.kind == FILE and child.name != MANIFEST_NAME
+                for line in model.flatten_lines(child)]
         donor_line = pool[rng.randrange(len(pool))]
 
     ineffective = (
@@ -93,8 +86,7 @@ def _gen_mutate(mutation: str, tree: AssetTree, rng: random.Random,
     )
     if ineffective and rng.random() < ctx.sensibility_discard_prob:
         return None
-    params = {"target": make_asset_ref(tree, target).to_text(),
-              "mutation": mutation, "line": l1}
+    params = {"target": target_ref.to_text(), "mutation": mutation, "line": l1}
     if donor_line is not None:
         params["donor_line"] = donor_line
     return CandidateOperation("MutateAsset", params)

@@ -406,11 +406,6 @@ class AssetTree:
                 return anc
         return None
 
-    def iter_files(self) -> Iterator[AssetNode]:
-        for node in self.root.iter_nodes():
-            if node.kind == FILE:
-                yield node
-
     # trace-based correspondence
 
     def _trace_reach(self, start: int, step: Callable[[int], list[int]]) -> Iterator[int]:

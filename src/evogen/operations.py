@@ -14,7 +14,7 @@ from . import model
 from .errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
                      DuplicateRepository, EvogenError, NotMutable,
                      UnrelatedRepositories)
-from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, LINE,
+from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER,
                     MANIFEST_NAME, REPOSITORY)
 from .refs import (AssetRef, FeatureRef, lpq_to_full_path, make_asset_ref,
                    repository_refs, resolve_asset_ref, resolve_feature_ref,

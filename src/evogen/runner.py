@@ -72,19 +72,65 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        checker = data.get("checker", {}) or {}
+        """The config `data` describes, an unset key taking its default.
+        Raises EvogenError naming the first key whose value has the wrong
+        type, so a bad config stops the run before it writes anything."""
+        checker = _config_value(data, "checker", {}, _optional(dict), "a mapping") or {}
         return cls(
-            max_iterations=data.get("max_iterations", 200),
-            termination=data.get("termination"),
-            generators=tuple(data.get("generators", GENERATOR_IDS)),
-            distribution=data.get("distribution"),
-            max_retries=data.get("max_retries", 50),
-            checker_kind=checker.get("kind", BUNDLED_CHECKER),
-            checker_cmd=checker.get("cmd"),
-            checker_timeout_s=checker.get("timeout_s", 60.0),
-            seed=data.get("seed", 0),
-            sensibility_discard_prob=data.get("sensibility_discard_prob", 0.5),
+            max_iterations=_config_value(data, "max_iterations", 200, _whole,
+                                         "a whole number"),
+            termination=_config_value(data, "termination", None, _optional(str),
+                                      "a predicate"),
+            generators=tuple(_config_value(data, "generators", GENERATOR_IDS, _names,
+                                           "a non-empty list of generator names")),
+            distribution=_config_value(data, "distribution", None, _weights,
+                                       "a mapping of generator names to weights"),
+            max_retries=_config_value(data, "max_retries", 50, _whole, "a whole number"),
+            checker_kind=_config_value(checker, "kind", BUNDLED_CHECKER,
+                                       lambda kind: isinstance(kind, str),
+                                       "a checker kind", "checker."),
+            checker_cmd=_config_value(checker, "cmd", None, _optional(str),
+                                      "a shell command", "checker."),
+            checker_timeout_s=_config_value(checker, "timeout_s", 60.0, _real,
+                                            "a number of seconds", "checker."),
+            seed=_config_value(data, "seed", 0, _whole, "a whole number"),
+            sensibility_discard_prob=_config_value(data, "sensibility_discard_prob", 0.5,
+                                                   _real, "a number"),
         )
+
+
+# -- config value types ------------------------------------------------------
+
+def _config_value(data: dict, key: str, default, ok: Callable[[object], bool],
+                  expected: str, prefix: str = ""):
+    """``data[key]``, or `default` when the key is unset; raises EvogenError
+    naming the key when the value fails `ok`."""
+    value = data.get(key, default)
+    if not ok(value):
+        raise EvogenError(f"config {prefix}{key}: expected {expected}, got {value!r}")
+    return value
+
+
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _optional(kind: type) -> Callable[[object], bool]:
+    return lambda value: value is None or isinstance(value, kind)
+
+
+def _names(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(isinstance(name, str) for name in value))
+
+
+def _weights(value) -> bool:
+    return value is None or isinstance(value, dict) and all(
+        isinstance(name, str) and _real(weight) for name, weight in value.items())
 
 
 def preset(name: str) -> RunConfig:

@@ -7,6 +7,7 @@ from evogen.history import parse_initial_system
 from evogen.minilang import MinilangAdapter
 from evogen.model import (FILE, FOLDER, LINE, REPOSITORY, AssetTree, Feature,
                           FeatureModel)
+from evogen.runner import RunConfig, preset
 from evogen.transplant import load_donor
 
 
@@ -81,6 +82,32 @@ def write_donor(root: Path, name: str, tests: int = 4, modules: int = 3,
             "}",
         ]) + "\n")
     return donor
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(tmp_path_factory):
+    """The seed system and two donors of 12 modular tests each that the
+    oracle tests generate their histories from."""
+    base = tmp_path_factory.mktemp("corpus")
+    system = write_initial_system(base / "in")
+    donors = [write_donor(base / "donors", f"donor{i}", tests=12, modules=4)
+              for i in range(2)]
+    return system, donors
+
+
+#: the clone-heavy `variants` mix of perfbench/run.py
+VARIANTS_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
+                "mutDelete": 0.15, "transplant": 0.30, "cloneVariant": 0.08,
+                "cloneFeature": 0.12}
+
+
+def mix_config(mix: str, iterations: int) -> RunConfig:
+    """A run of `iterations` at seed 1 with a shipped preset or, for
+    ``"variants"``, the variants mix."""
+    config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
+    config.max_iterations = iterations
+    config.seed = 1
+    return config
 
 
 @pytest.fixture

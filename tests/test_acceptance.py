@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line (bypassing capture) so a plain
 pytest run shows the per-criterion verdict.
 """
 
-import json
 import random
 import sys
 import time
@@ -13,7 +12,6 @@ from pathlib import Path
 import pytest
 from scipy.stats import chisquare
 
-from evogen import model as m
 from evogen.generators import clone_feature_triples
 from evogen.history import read_ledger, replay_history
 from evogen.minilang import MinilangAdapter, check_snapshot_dir

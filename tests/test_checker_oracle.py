@@ -26,33 +26,20 @@ from evogen.history import (_repo_files, _repo_fragment, _tree_files,
                             feature_state, materialize_tree, validate_history)
 from evogen.operations import Committed
 from evogen.minilang import MinilangAdapter, check_files, check_snapshot_dir
-from evogen.runner import PRESET_NAMES, RunConfig, preset, run
+from evogen.runner import PRESET_NAMES, run
 
-from conftest import write_donor, write_initial_system
-
-#: the clone-heavy `variants` mix of perfbench/run.py
-VARIANTS_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
-                "mutDelete": 0.15, "transplant": 0.30, "cloneVariant": 0.08,
-                "cloneFeature": 0.12}
+from conftest import mix_config
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    base = tmp_path_factory.mktemp("corpus")
-    system = write_initial_system(base / "in")
-    donors = [write_donor(base / "donors", f"donor{i}", tests=12, modules=4)
-              for i in range(2)]
-    return system, donors
+def _config(mix: str):
+    return mix_config(mix, MIXES[mix])
 
 
-def _config(mix: str) -> RunConfig:
-    config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
-    config.max_iterations = MIXES[mix]
-    config.seed = 1
-    return config
+class FirstStaleValue(Exception):
+    """Stops a run once the oracle has found a stale value."""
 
 
 def _check_kept(tree: model.AssetTree, adapter, seen: dict, phase: str) -> None:
@@ -70,15 +57,19 @@ def _check_kept(tree: model.AssetTree, adapter, seen: dict, phase: str) -> None:
                 seen[f"stale in {phase}"].append(f"{repo.name}: {key}")
 
 
-def _generate_and_validate(config, corpus, tmp_path, monkeypatch) -> dict:
-    """Generate and validate a history, checking every attempt and every
-    replayed revision; returns what was seen and every mismatch found."""
-    seen = {"stale in generate": [], "stale in validate": [], "gate vs disk": [],
+def _seen() -> dict:
+    return {"stale in generate": [], "stale in validate": [], "gate vs disk": [],
             "problems not reused": [], "verdicts": [], "replayed": 0,
             "checked": Counter()}
+
+
+def _generate(config, corpus, out, tmp_path, monkeypatch, seen: dict,
+              stop_at_stale: bool = False) -> None:
+    """Generate a history, checking every attempt; with `stop_at_stale`,
+    raise FirstStaleValue after the first attempt that left a stale value,
+    before any later draw reads it."""
     make_checker = runner.make_checker
     real_transaction = runner.run_in_transaction
-    real_replay = history.replay_records
     input_problems: dict = {}  # of the attempt's input tree, by repository
 
     def oracle_checker(config, adapter):
@@ -108,7 +99,20 @@ def _generate_and_validate(config, corpus, tmp_path, monkeypatch) -> dict:
                               for repo in tree.repositories)
         result = real_transaction(tree, *args, adapter=adapter, **kwargs)
         _check_kept(tree, adapter, seen, "generate")
+        if stop_at_stale and seen["stale in generate"]:
+            raise FirstStaleValue(seen["stale in generate"])
         return result
+
+    monkeypatch.setattr(runner, "make_checker", oracle_checker)
+    monkeypatch.setattr(runner, "run_in_transaction", transaction)
+    system, donors = corpus
+    seen["summary"] = run(config, system, donors, out)
+
+
+def _validate(out, monkeypatch, seen: dict) -> None:
+    """Validate a history, checking the kept values at every replayed
+    revision."""
+    real_replay = history.replay_records
 
     def replay(tree, records, adapter):
         for revision, tree in real_replay(tree, records, adapter):
@@ -117,19 +121,16 @@ def _generate_and_validate(config, corpus, tmp_path, monkeypatch) -> dict:
             _check_kept(tree, adapter, seen, "validate")
             seen["replayed"] += 1
 
-    monkeypatch.setattr(runner, "make_checker", oracle_checker)
-    monkeypatch.setattr(runner, "run_in_transaction", transaction)
     monkeypatch.setattr(history, "replay_records", replay)
-    system, donors = corpus
-    seen["summary"] = run(config, system, donors, tmp_path / "out")
-    seen["report"] = validate_history(tmp_path / "out", MinilangAdapter())
-    return seen
+    seen["report"] = validate_history(out, MinilangAdapter())
 
 
 @pytest.mark.parametrize("mix", MIXES)
-def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_path,
+def test_in_memory_check_equals_disk_check_on_every_attempt(mix, oracle_corpus, tmp_path,
                                                              monkeypatch):
-    seen = _generate_and_validate(_config(mix), corpus, tmp_path, monkeypatch)
+    seen = _seen()
+    _generate(_config(mix), oracle_corpus, tmp_path / "out", tmp_path, monkeypatch, seen)
+    _validate(tmp_path / "out", monkeypatch, seen)
     committed = seen["summary"].committed_total
     assert seen["report"].ok, seen["report"].violations
     assert seen["stale in generate"] == []
@@ -146,16 +147,25 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, corpus, tmp_pat
 
 
 @pytest.mark.parametrize("mix", MIXES)
-def test_oracle_finds_stale_values_when_own_does_nothing(mix, corpus, tmp_path,
+def test_oracle_finds_stale_values_when_own_does_nothing(mix, oracle_corpus, tmp_path,
                                                          monkeypatch):
+    """With ``own`` a no-op, changes land in place on nodes whose kept values
+    stay.  Generate stops at the first stale value, before a draw reads a
+    stale render; validate replays a history generated with ``own`` intact."""
+    system, donors = oracle_corpus
+    run(_config(mix), system, donors, tmp_path / "out")
     monkeypatch.setattr(model.AssetTree, "own", lambda tree, name: None)
-    seen = _generate_and_validate(_config(mix), corpus, tmp_path, monkeypatch)
+    seen = _seen()
+    with pytest.raises(FirstStaleValue):
+        _generate(_config(mix), oracle_corpus, tmp_path / "stopped", tmp_path,
+                  monkeypatch, seen, stop_at_stale=True)
+    _validate(tmp_path / "out", monkeypatch, seen)
     assert seen["stale in generate"] != []
     assert seen["stale in validate"] != []
 
 
 @pytest.mark.parametrize("mix", MIXES)
-def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
+def test_transaction_leaves_its_input_tree_unchanged(mix, oracle_corpus, tmp_path,
                                                      monkeypatch):
     config = _config(mix)
     real_run_in_transaction = runner.run_in_transaction
@@ -218,7 +228,7 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, corpus, tmp_path,
 
     monkeypatch.setattr(runner, "run_in_transaction", checked_transaction)
     monkeypatch.setattr(model.AssetTree, "clone", recording_clone)
-    system, donors = corpus
+    system, donors = oracle_corpus
     summary = run(config, system, donors, tmp_path / "out")
     assert changed == []
     assert outcomes["committed"] == summary.committed_total

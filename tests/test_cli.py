@@ -110,6 +110,27 @@ class TestGenerate:
         assert reason in result.output
         assert "history truncated" not in result.output
 
+    @pytest.mark.parametrize("content,key", [
+        ("max_iterations: abc\n", "max_iterations"),
+        ("max_retries: x\n", "max_retries"),
+        ("distribution: [1]\n", "distribution"),
+        ("generators: []\n", "generators"),
+        ("sensibility_discard_prob: hi\n", "sensibility_discard_prob"),
+    ])
+    def test_config_value_of_wrong_type_exit_two_writing_nothing(self, runner, tmp_path,
+                                                                 content, key):
+        system = write_initial_system(tmp_path / "in")
+        config = tmp_path / "bad.yaml"
+        config.write_text(content)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "generate", "--config", str(config), "--system", str(system),
+            "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: config {key}: expected " in result.output
+        assert not out.exists()
+
     def test_missing_config_file_exit_two(self, runner, tmp_path):
         system = write_initial_system(tmp_path / "in")
         config = tmp_path / "nope.yaml"

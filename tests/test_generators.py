@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from evogen.generators import (CandidateOperation, GENERATOR_IDS, GENERATORS,
-                               GenContext, clone_feature_triples, generate,
+from evogen.generators import (GENERATOR_IDS, GENERATORS, GenContext,
+                               clone_feature_triples, generate,
                                gen_clone_feature, gen_clone_variant,
                                gen_remove_feature, gen_transplant)
 from evogen.minilang import MinilangAdapter

@@ -16,8 +16,8 @@ from evogen.history import (_read_snapshot, _tree_files, feature_state,
                             parse_snapshot, read_ledger, replay_history,
                             validate_history, write_feature_state,
                             write_snapshot)
-from evogen.minilang import MinilangAdapter, check_snapshot_dir, check_tree
-from evogen.model import FOLDER, AssetTree, Feature, structurally_equal
+from evogen.minilang import check_snapshot_dir, check_tree
+from evogen.model import FOLDER, AssetTree, Feature
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 

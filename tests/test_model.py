@@ -8,7 +8,7 @@ from evogen.errors import (EvogenError, SelfTrace, UnknownFeature,
 from evogen.generators import GENERATOR_IDS, GenContext, generate
 from evogen.history import _tree_files, feature_state, parse_initial_system
 from evogen.minilang import MinilangAdapter
-from evogen.model import (AssetTree, CloneTrace, Feature, FeatureModel, FILE,
+from evogen.model import (AssetTree, CloneTrace, Feature, FILE,
                           feature_exclusive_assets, flatten_lines,
                           structurally_equal)
 from evogen.operations import execute

@@ -16,26 +16,12 @@ from evogen.model import FILE, AssetTree
 from evogen.operations import apply_clone_variant
 from evogen.refs import (AssetRef, make_asset_ref, repository_refs,
                          resolve_asset_ref, walk_asset_refs)
-from evogen.runner import PRESET_NAMES, RunConfig, preset, run
+from evogen.runner import PRESET_NAMES, run
 
-from conftest import build_repo, random_structured_tree, write_donor, write_initial_system
-
-#: the clone-heavy `variants` mix of perfbench/run.py
-VARIANTS_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
-                "mutDelete": 0.15, "transplant": 0.30, "cloneVariant": 0.08,
-                "cloneFeature": 0.12}
+from conftest import build_repo, mix_config, random_structured_tree
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 100 for name in PRESET_NAMES}, "variants": 50}
-
-
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    base = tmp_path_factory.mktemp("corpus")
-    system = write_initial_system(base / "in")
-    donors = [write_donor(base / "donors", f"donor{i}", tests=12, modules=4)
-              for i in range(2)]
-    return system, donors
 
 
 #: selections the meta-data writers make, and one that cuts across kinds
@@ -60,12 +46,10 @@ def assert_walk_matches_search(tree: AssetTree) -> int:
 
 
 @pytest.mark.parametrize("mix", MIXES)
-def test_walk_equals_make_asset_ref_at_every_revision(mix, corpus, tmp_path, adapter):
-    config = RunConfig(distribution=VARIANTS_MIX) if mix == "variants" else preset(mix)
-    config.max_iterations = MIXES[mix]
-    config.seed = 1
-    system, donors = corpus
-    summary = run(config, system, donors, tmp_path / "out")
+def test_walk_equals_make_asset_ref_at_every_revision(mix, oracle_corpus, tmp_path,
+                                                      adapter):
+    system, donors = oracle_corpus
+    summary = run(mix_config(mix, MIXES[mix]), system, donors, tmp_path / "out")
     revisions = 0
     for _, tree in replay_history(tmp_path / "out", adapter):
         assert assert_walk_matches_search(tree) > 0

@@ -2,7 +2,6 @@ import json
 import random
 import tempfile
 from collections import Counter
-from pathlib import Path
 
 import pytest
 

@@ -1,6 +1,5 @@
 import os
 import random
-from pathlib import Path
 
 import pytest
 
@@ -8,8 +7,8 @@ from evogen import model as m
 from evogen.errors import (DonorIoError, ForbiddenInsertionPoint,
                            MissingDependency, NotModular)
 from evogen.history import materialize_tree, parse_initial_system
-from evogen.minilang import MinilangAdapter, check_snapshot_dir
-from evogen.model import BLOCK, FILE
+from evogen.minilang import check_snapshot_dir
+from evogen.model import BLOCK
 from evogen.refs import make_asset_ref
 from evogen.transplant import (apply_transplant_feature, extract_organ,
                                legal_insertion_points, load_donor)
