@@ -27,6 +27,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Optional
@@ -52,24 +53,51 @@ SCHEMA_VERSION = 1
 Snapshot = dict[str, Optional[bytes]]
 
 
-def _read_snapshot(root: Path, prefix: str = "") -> Snapshot:
+#: a stored snapshot's files as one read saw them: path -> (inode, bytes)
+Inodes = dict[str, tuple[int, bytes]]
+
+
+def _read_file(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_snapshot(root: Path, prefix: str = "",
+                   inodes: Optional[Inodes] = None) -> Snapshot:
     """A directory read into memory with one walk, siblings in name order,
     each path led by `prefix`: the one reader of seed systems, donors and
-    stored snapshots."""
+    stored snapshots.
+
+    `inodes` carries the files of one stored snapshot's read to the next.  A
+    file whose inode equals the one `inodes` holds for its path takes the
+    held bytes without being opened: two files that exist at once on one
+    file system have one inode only when they are one file.  On return,
+    `inodes` holds this read's files and no others."""
     if not root.is_dir():
         raise SnapshotIoError(f"not a directory: {root}")
     files: Snapshot = {}
+    seen: Inodes = {}
 
     def walk(path: str, rel: str) -> None:
-        for entry in sorted(os.scandir(path), key=lambda entry: entry.name):
+        for entry in sorted(os.scandir(path), key=attrgetter("name")):
+            name = rel + entry.name
             if entry.is_dir():
-                files[rel + entry.name] = None
-                walk(entry.path, f"{rel}{entry.name}/")
+                files[name] = None
+                walk(entry.path, name + "/")
             elif entry.is_file():
-                with open(entry.path, "rb") as fh:
-                    files[rel + entry.name] = fh.read()
+                if inodes is None:
+                    files[name] = _read_file(entry.path)
+                    continue
+                inode = entry.inode()  # from the directory entry on Linux
+                held = inodes.get(name)
+                data = held[1] if held and held[0] == inode else _read_file(entry.path)
+                files[name] = data
+                seen[name] = (inode, data)
 
     walk(str(root), prefix)
+    if inodes is not None:
+        inodes.clear()
+        inodes.update(seen)
     return files
 
 
@@ -144,19 +172,27 @@ def _write_tree(files: Snapshot, dest: Path, previous: Optional[Snapshot] = None
                 link_dir: Optional[Path] = None) -> None:
     """Write a snapshot map under `dest`.  A file whose bytes equal
     ``previous[rel]`` becomes a hard link to ``link_dir/rel``, or is written
-    when linking fails."""
-    dest.mkdir(parents=True, exist_ok=True)
+    when linking fails.  Paths are joined as strings, one per entry."""
+    root = os.fspath(dest)
+    os.makedirs(root, exist_ok=True)
+    source = os.fspath(link_dir) if link_dir is not None else None
     for rel, data in files.items():
+        path = f"{root}/{rel}"
         if data is None:
-            (dest / rel).mkdir(exist_ok=True)
+            try:
+                os.mkdir(path)
+            except FileExistsError:
+                if not os.path.isdir(path):
+                    raise
             continue
         if previous is not None and previous.get(rel) == data:
             try:
-                os.link(link_dir / rel, dest / rel)
+                os.link(f"{source}/{rel}", path)
                 continue
             except OSError:
                 pass
-        (dest / rel).write_bytes(data)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def materialize_tree(tree: AssetTree, dest: Path) -> None:
@@ -239,13 +275,36 @@ def feature_state(tree: AssetTree) -> dict:
 _ASSET_AT = '"asset": "{}:'
 
 
+def _state_json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` for the value types of
+    the feature state, each line after the first led by `indent` as well.
+    Raises TypeError on a value of any other type."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_state_json(item, inner)}"
+            for key, item in sorted(value.items()))
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _state_json(item, inner) for item in value)
+        return f"[\n{items}\n{indent}]"
+    raise TypeError(f"{type(value).__name__} is not a feature-state value")
+
+
 def _repo_fragment(tree: AssetTree, repo: AssetNode) -> list[str]:
     """A repository's entry in ``features/NNNN.json``, kept on its node: its
     indented JSON text, split where a mapped asset's ref names the revision."""
     if "fragment" not in repo.derived:
-        entry = json.dumps(_repo_state(tree, repo), sort_keys=True, indent=1)
-        repo.derived["fragment"] = entry.replace("\n", "\n  ").split(
-            _ASSET_AT.format(tree.revision))
+        entry = _state_json(_repo_state(tree, repo), "  ")
+        repo.derived["fragment"] = entry.split(_ASSET_AT.format(tree.revision))
     return repo.derived["fragment"]
 
 
@@ -470,7 +529,8 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
     checks = _ref_checks(records, stored_traces, report)
-    files = _read_snapshot(revisions_dir / "0000")
+    inodes: Inodes = {}
+    files = _read_snapshot(revisions_dir / "0000", inodes=inodes)
 
     try:
         for revision, tree in replay_records(_build_tree(files), records, adapter):
@@ -484,7 +544,7 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
                 if not snap.is_dir():
                     report.add("replay", snap.name, "snapshot missing")
                     continue
-                files = _read_snapshot(snap)
+                files = _read_snapshot(snap, inodes=inodes)
             faithful = _tree_files(tree) == files
             if not faithful:
                 report.add("replay-fidelity", snap.name,

@@ -157,20 +157,24 @@ PRESET_NAMES = ("uniform-generators", "uniform-operations", "growing-system")
 
 # -- generator selection -----------------------------------------------------
 
-def select_generator(distribution: dict[str, float], rng: random.Random) -> str:
-    ids = list(distribution)
-    if not ids:
+def check_weights(distribution: dict[str, float]) -> None:
+    """Raise BadDistribution unless the weights are non-negative and sum to 1."""
+    if not distribution:
         raise BadDistribution("empty distribution")
-    weights = [distribution[g] for g in ids]
+    weights = distribution.values()
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise BadDistribution(f"weights must be non-negative and sum to 1: {distribution}")
+
+
+def select_generator(distribution: dict[str, float], rng: random.Random) -> str:
+    check_weights(distribution)
     draw = rng.random()
     acc = 0.0
-    for gen_id, weight in zip(ids, weights):
+    for gen_id, weight in distribution.items():
         acc += weight
         if draw < acc:
             return gen_id
-    return ids[-1]
+    return next(reversed(distribution))
 
 
 # -- compilability checking --------------------------------------------------
@@ -259,7 +263,14 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()):
         raise SnapshotIoError(f"output directory not empty: {out_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every check of the config and the inputs comes before the first write
+    checker = make_checker(config, adapter)
+    distribution = config.resolved_distribution()
+    unknown = set(distribution) - set(GENERATOR_IDS)
+    if unknown:
+        raise BadDistribution(f"unknown generators: {sorted(unknown)}")
+    check_weights(distribution)
+    terminated = parse_termination(config.termination)
 
     try:
         tree = parse_initial_system(Path(system_path))
@@ -271,16 +282,10 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
             raise InvalidInitialSystem(f"duplicate donor id {donor.id!r}")
         tree.donors[donor.id] = donor
 
-    checker = make_checker(config, adapter)
-    distribution = config.resolved_distribution()
-    unknown = set(distribution) - set(GENERATOR_IDS)
-    if unknown:
-        raise BadDistribution(f"unknown generators: {sorted(unknown)}")
-    terminated = parse_termination(config.termination)
-
     problems = checker(tree)
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
+    out_dir.mkdir(parents=True, exist_ok=True)
     rendered = write_snapshot(tree, 0, out_dir)
     write_feature_state(tree, out_dir)
     debug_path = out_dir / "debug.log"

@@ -131,6 +131,25 @@ class TestGenerate:
         assert f"error: config {key}: expected " in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,message", [
+        ("distribution: {mutAdd: 0.5}\n", "weights must be non-negative and sum to 1"),
+        ("generators: [mutAdd, nope]\n", "unknown generators: ['nope']"),
+        ("distribution: {nope: 1.0}\n", "unknown generators: ['nope']"),
+    ])
+    def test_bad_distribution_exit_two_writing_nothing(self, runner, tmp_path,
+                                                       content, message):
+        system = write_initial_system(tmp_path / "in")
+        config = tmp_path / "bad.yaml"
+        config.write_text(content)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "generate", "--config", str(config), "--system", str(system),
+            "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
+        assert not out.exists()
+
     def test_missing_config_file_exit_two(self, runner, tmp_path):
         system = write_initial_system(tmp_path / "in")
         config = tmp_path / "nope.yaml"

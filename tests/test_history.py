@@ -239,9 +239,9 @@ class TestValidate:
         real = history_module._read_snapshot
         reads = []
 
-        def counting(root, prefix=""):
+        def counting(root, prefix="", inodes=None):
             reads.append(Path(root).name)
-            return real(root, prefix)
+            return real(root, prefix, inodes)
         monkeypatch.setattr(history_module, "_read_snapshot", counting)
         monkeypatch.setattr(minilang, "_read_snapshot", counting)
         assert validate_history(history, adapter).ok
