@@ -53,8 +53,9 @@ SCHEMA_VERSION = 1
 Snapshot = dict[str, Optional[bytes]]
 
 
-#: a stored snapshot's files as one read saw them: path -> (inode, bytes)
-Inodes = dict[str, tuple[int, bytes]]
+#: a stored snapshot's files as one read saw them: path -> ((device, inode),
+#: bytes)
+Inodes = dict[str, tuple[tuple[int, int], bytes]]
 
 
 def _read_file(path: str) -> bytes:
@@ -69,12 +70,14 @@ def _read_snapshot(root: Path, prefix: str = "",
     stored snapshots.
 
     `inodes` carries the files of one stored snapshot's read to the next.  A
-    file whose inode equals the one `inodes` holds for its path takes the
-    held bytes without being opened: two files that exist at once on one
-    file system have one inode only when they are one file.  On return,
-    `inodes` holds this read's files and no others."""
+    file whose device and inode, from one ``stat`` of the file its path
+    names, equal those `inodes` holds for its path takes the held bytes
+    without being opened: two files that exist at once have one device and
+    inode only when they are one file.  On return, `inodes` holds this
+    read's files and no others."""
     if not root.is_dir():
         raise SnapshotIoError(f"not a directory: {root}")
+    inodes = {} if inodes is None else inodes
     files: Snapshot = {}
     seen: Inodes = {}
 
@@ -85,19 +88,16 @@ def _read_snapshot(root: Path, prefix: str = "",
                 files[name] = None
                 walk(entry.path, name + "/")
             elif entry.is_file():
-                if inodes is None:
-                    files[name] = _read_file(entry.path)
-                    continue
-                inode = entry.inode()  # from the directory entry on Linux
-                held = inodes.get(name)
-                data = held[1] if held and held[0] == inode else _read_file(entry.path)
+                st = entry.stat()
+                key = (st.st_dev, st.st_ino)
+                old = inodes.get(name)
+                data = old[1] if old and old[0] == key else _read_file(entry.path)
                 files[name] = data
-                seen[name] = (inode, data)
+                seen[name] = (key, data)
 
     walk(str(root), prefix)
-    if inodes is not None:
-        inodes.clear()
-        inodes.update(seen)
+    inodes.clear()
+    inodes.update(seen)
     return files
 
 
@@ -173,15 +173,15 @@ def _write_tree(files: Snapshot, dest: Path, previous: Optional[Snapshot] = None
     """Write a snapshot map under `dest`.  A file whose bytes equal
     ``previous[rel]`` becomes a hard link to ``link_dir/rel``, or is written
     when linking fails.  Paths are joined as strings, one per entry."""
+    dest.mkdir(parents=True, exist_ok=True)
     root = os.fspath(dest)
-    os.makedirs(root, exist_ok=True)
     source = os.fspath(link_dir) if link_dir is not None else None
     for rel, data in files.items():
         path = f"{root}/{rel}"
         if data is None:
             try:
                 os.mkdir(path)
-            except FileExistsError:
+            except OSError:  # as Path.mkdir(exist_ok=True)
                 if not os.path.isdir(path):
                     raise
             continue

@@ -1,10 +1,11 @@
 """Oracles for the whole-snapshot I/O paths of ``evogen.history``.
 
 - Reader: ``validate`` reads each stored snapshot with the inode map of the
-  revision before it, and takes the held bytes of every file whose inode is
-  unchanged.  At every revision of seeded histories that read must equal a
-  fresh read, and on tampered copies ``validate`` must write the
-  ``validation.json`` that fresh reads give.
+  revision before it, and takes the held bytes of every file whose device
+  and inode are unchanged.  At every revision of seeded histories that read
+  must equal a fresh read, also where every file reports one inode on a
+  device of its own revision, and on tampered copies ``validate`` must write
+  the ``validation.json`` that fresh reads give.
 - Writer: ``_write_tree`` joins strings, so a snapshot write builds a fixed
   number of ``Path`` objects, whatever the number of entries.
 - Emitter: ``_state_json`` must equal ``json.dumps(sort_keys=True,
@@ -59,10 +60,53 @@ def test_inode_reusing_read_equals_fresh_read_at_every_revision(
         assert reused == _read_snapshot(snap), snap.name
         # the map holds this revision's files and no others
         assert inodes.keys() == {rel for rel, data in reused.items() if data is not None}
-        assert all(os.stat(snap / rel).st_ino == inode
-                   for rel, (inode, _) in inodes.items())
+        for rel, (key, _) in inodes.items():
+            st = os.stat(snap / rel)
+            assert (st.st_dev, st.st_ino) == key, rel
         files_read += len(inodes)
     assert 0 < len(opened) < files_read
+
+
+class _OtherDevice:
+    """A directory entry whose file reports inode 1 on a device of its own
+    revision directory, as on a file system that numbers files per mount."""
+
+    def __init__(self, entry: os.DirEntry, device: int) -> None:
+        self._entry, self._device = entry, device
+        self.name, self.path = entry.name, entry.path
+        self.is_dir, self.is_file = entry.is_dir, entry.is_file
+
+    def stat(self):
+        st = list(self._entry.stat())
+        st[1], st[2] = 1, self._device  # st_ino, st_dev
+        return os.stat_result(st)
+
+
+def test_equal_inode_on_another_device_is_read(oracle_corpus, tmp_path, monkeypatch):
+    system, donors = oracle_corpus
+    out = tmp_path / "out"
+    run(mix_config("variants", 20), system, donors, out)
+    real_scandir, real_read = os.scandir, history_module._read_file
+    opened = []
+
+    def scandir(path):
+        device = int(Path(path).relative_to(out / "revisions").parts[0])
+        return [_OtherDevice(entry, device) for entry in real_scandir(path)]
+
+    def counting(path):
+        opened.append(path)
+        return real_read(path)
+
+    inodes: dict = {}
+    files_read = 0
+    for snap in _snapshots(out):
+        fresh = _read_snapshot(snap)
+        monkeypatch.setattr(os, "scandir", scandir)
+        monkeypatch.setattr(history_module, "_read_file", counting)
+        assert _read_snapshot(snap, inodes=inodes) == fresh, snap.name
+        monkeypatch.undo()
+        files_read += len(inodes)
+    assert len(opened) == files_read > 0
 
 
 def _generate(tmp_path: Path) -> Path:
