@@ -18,7 +18,12 @@ directories.
 Snapshots, files and folders alike, have one in-memory form, the ``Snapshot``
 map: ``_tree_files`` renders it, ``_read_snapshot`` reads it from a directory
 (seed, donor, stored snapshot), ``_build_tree`` parses and ``_write_tree``
-writes it.  A repository's render is kept on its node (``AssetNode.derived``).
+writes it.
+
+The feature state has one encoder too: ``feature_state`` joins the
+repositories' fragments into the bytes of ``features/NNNN.json``, which
+generate writes and validate compares with the stored file byte for byte.  A
+repository's render and fragment are kept on its node (``AssetNode.derived``).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -36,7 +41,7 @@ from . import model
 from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
                      SnapshotIoError, utf8_text)
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
-                    FeatureModel, REPOSITORY, _feature_to_dict)
+                    FeatureModel, REPOSITORY)
 from .operations import execute
 # make_asset_ref is unused here, but perfbench/tracer.py patches
 # history.make_asset_ref, so the binding stays until the benchmark drops it
@@ -250,79 +255,66 @@ def append_traces(traces: list, out_dir: Path) -> None:
         raise LedgerIoError(str(exc)) from exc
 
 
-def _repo_state(tree: AssetTree, repo: AssetNode) -> dict:
-    """One repository's entry in the feature state: its feature model and
-    the features of every mapped asset, sorted by asset ref."""
-    mappings = [{"asset": ref.to_text(),
-                 "features": sorted("/".join(p) for p in node.mapped_features)}
-                for node, ref in repository_refs(
-                    tree, repo, lambda n: n.mapped_features)]
-    mappings.sort(key=lambda m: m["asset"])
-    return {
-        "model": _feature_to_dict(repo.feature_model.root)
-        if repo.feature_model else None,
-        "mappings": mappings,
-    }
-
-
-def feature_state(tree: AssetTree) -> dict:
-    return {"schema": SCHEMA_VERSION, "revision": tree.revision,
-            "repos": {repo.name: _repo_state(tree, repo)
-                      for repo in tree.repositories}}
-
-
 #: what every mapped asset's ref starts with in a repository's fragment
 _ASSET_AT = '"asset": "{}:'
 
 
-def _state_json(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=1)`` for the value types of
-    the feature state, each line after the first led by `indent` as well.
-    Raises TypeError on a value of any other type."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
+def _model_json(feature: Feature, indent: str) -> str:
+    """A feature and its subtree as ``json.dumps(sort_keys=True, indent=1)``
+    writes them, each line after the first led by `indent`."""
     inner = indent + " "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{encode_basestring_ascii(key)}: {_state_json(item, inner)}"
-            for key, item in sorted(value.items()))
-        return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = ",\n".join(inner + _state_json(item, inner) for item in value)
-        return f"[\n{items}\n{indent}]"
-    raise TypeError(f"{type(value).__name__} is not a feature-state value")
+    children = "[]"
+    if feature.children:
+        item = inner + " "
+        children = "[\n" + ",\n".join(item + _model_json(c, item)
+                                      for c in feature.children) + f"\n{inner}]"
+    return (f'{{\n{inner}"children": {children},'
+            f'\n{inner}"name": {encode_basestring_ascii(feature.name)},'
+            f'\n{inner}"origin": {encode_basestring_ascii(feature.origin)}\n{indent}}}')
 
 
 def _repo_fragment(tree: AssetTree, repo: AssetNode) -> list[str]:
     """A repository's entry in ``features/NNNN.json``, kept on its node: its
-    indented JSON text, split where a mapped asset's ref names the revision."""
+    feature model and the features of every mapped asset, sorted by asset
+    ref, as indented JSON text split where a mapped asset's ref names the
+    revision."""
     if "fragment" not in repo.derived:
-        entry = _state_json(_repo_state(tree, repo), "  ")
+        mapped = sorted(((ref.to_text(), node.mapped_features) for node, ref in
+                         repository_refs(tree, repo, attrgetter("mapped_features"))),
+                        key=itemgetter(0))
+        mappings = ",\n".join(
+            f'    {{\n     "asset": {encode_basestring_ascii(ref)},\n     "features": [\n'
+            + ",\n".join("      " + encode_basestring_ascii(name)
+                         for name in sorted(map("/".join, features)))
+            + "\n     ]\n    }"
+            for ref, features in mapped)
+        mappings = f"[\n{mappings}\n   ]" if mapped else "[]"
+        model = (_model_json(repo.feature_model.root, "   ")
+                 if repo.feature_model else "null")
+        entry = f'{{\n   "mappings": {mappings},\n   "model": {model}\n  }}'
         repo.derived["fragment"] = entry.split(_ASSET_AT.format(tree.revision))
     return repo.derived["fragment"]
 
 
-def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
-    """Write ``features/NNNN.json``, the bytes of
-    ``json.dumps(feature_state(tree), sort_keys=True, indent=1) + "\\n"``,
-    joined from the repositories' fragments."""
+def feature_state(tree: AssetTree) -> bytes:
+    """The bytes of ``features/NNNN.json``, joined from the repositories'
+    fragments: the schema version, the revision and, by repository name,
+    each repository's feature model and mappings, as
+    ``json.dumps(sort_keys=True, indent=1)`` and a final LF write them."""
     at = _ASSET_AT.format(tree.revision)
     entries = ",".join(
-        f"\n  {json.dumps(repo.name)}: {at.join(_repo_fragment(tree, repo))}"
+        f"\n  {encode_basestring_ascii(repo.name)}: {at.join(_repo_fragment(tree, repo))}"
         for repo in sorted(tree.repositories, key=attrgetter("name")))
     repos = f"{{{entries}\n }}" if entries else "{}"
-    text = (f'{{\n "repos": {repos},\n "revision": {tree.revision},'
-            f'\n "schema": {SCHEMA_VERSION}\n}}\n')
+    return (f'{{\n "repos": {repos},\n "revision": {tree.revision},'
+            f'\n "schema": {SCHEMA_VERSION}\n}}\n').encode("ascii")
+
+
+def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
+    """Write ``features/NNNN.json``."""
     features_dir = Path(out_dir) / "features"
     features_dir.mkdir(parents=True, exist_ok=True)
-    path = features_dir / f"{tree.revision:04d}.json"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    (features_dir / f"{tree.revision:04d}.json").write_bytes(feature_state(tree))
 
 
 def _read_ndjson(path: Path, what: str) -> list[dict]:
@@ -505,6 +497,12 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
+    # a torn tail: what a run wrote past its last ledger record
+    for snap in snapshots[len(records) + 1:]:
+        report.add("layout", snap.name, "no ledger record")
+    for path in sorted((out_dir / "features").glob("*.json")):
+        if path.stem.isascii() and path.stem.isdigit() and int(path.stem) > len(records):
+            report.add("layout", path.name, "no ledger record")
 
     run_path = out_dir / "run.json"
     if run_path.is_file():
@@ -561,16 +559,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
             state_path = out_dir / "features" / f"{revision:04d}.json"
             if not state_path.is_file():
                 report.add("layout", state_path.name, "feature state missing")
-            else:
-                try:
-                    stored = json.loads(state_path.read_text(encoding="utf-8"))
-                except ValueError as exc:
-                    report.add("mapping-consistency", state_path.name,
-                               f"malformed feature state: {exc}")
-                    continue
-                if stored != feature_state(tree):
-                    report.add("mapping-consistency", state_path.name,
-                               "stored feature state differs from replayed state")
+            elif state_path.read_bytes() != feature_state(tree):
+                report.add("mapping-consistency", state_path.name,
+                           "stored feature state differs from replayed state")
     except ReplayDivergence as exc:
         report.add("replay", "ledger.ndjson", str(exc))
         return report

@@ -499,7 +499,3 @@ def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNod
         set(node.mapped_features),
         None if node.feature_model is None else node.feature_model.copy())
 
-
-def _feature_to_dict(feature: Feature) -> dict:
-    return {"name": feature.name, "origin": feature.origin,
-            "children": [_feature_to_dict(c) for c in feature.children]}

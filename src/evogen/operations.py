@@ -53,13 +53,6 @@ class OperationRecord:
             "sub_ops": [s.to_dict() for s in self.sub_ops],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OperationRecord":
-        rec = cls(data["op_id"], data["kind"], data["params"],
-                  data["revision_before"], data["revision_after"])
-        rec.sub_ops = [cls.from_dict(s) for s in data.get("sub_ops", [])]
-        return rec
-
 
 # -- shared helpers ----------------------------------------------------------
 

@@ -73,9 +73,13 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """The config `data` describes, an unset key taking its default.
-        Raises EvogenError naming the first key whose value has the wrong
-        type, so a bad config stops the run before it writes anything."""
+        Raises EvogenError naming the first key that is unknown or whose
+        value has the wrong type, so a bad config stops the run before it
+        writes anything."""
+        known = cls().to_dict()
         checker = _config_value(data, "checker", {}, _optional(dict), "a mapping") or {}
+        _known_keys(data, known)
+        _known_keys(checker, known["checker"], "checker.")
         return cls(
             max_iterations=_config_value(data, "max_iterations", 200, _whole,
                                          "a whole number"),
@@ -109,6 +113,14 @@ def _config_value(data: dict, key: str, default, ok: Callable[[object], bool],
     if not ok(value):
         raise EvogenError(f"config {prefix}{key}: expected {expected}, got {value!r}")
     return value
+
+
+def _known_keys(data: dict, known: dict, prefix: str = "") -> None:
+    """Raises EvogenError naming the first key of `data` not in `known`."""
+    for key in data:
+        if key not in known:
+            raise EvogenError(f"config {prefix}{key}: expected one of"
+                              f" {', '.join(known)}, got an unknown key")
 
 
 def _whole(value) -> bool:

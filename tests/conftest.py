@@ -1,12 +1,14 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from evogen.history import parse_initial_system
+from evogen.history import SCHEMA_VERSION, parse_initial_system
 from evogen.minilang import MinilangAdapter
 from evogen.model import (FILE, FOLDER, LINE, REPOSITORY, AssetTree, Feature,
                           FeatureModel)
+from evogen.refs import make_asset_ref
 from evogen.runner import RunConfig, preset
 from evogen.transplant import load_donor
 
@@ -188,3 +190,27 @@ def random_structured_tree(rng: random.Random) -> AssetTree:
                         tree.new_node(LINE, "", content=[f"flat {j}"]))
             node.content = None
     return tree
+
+
+# -- reference encodings -----------------------------------------------------
+
+def _feature_dict(feature: Feature) -> dict:
+    return {"name": feature.name, "origin": feature.origin,
+            "children": [_feature_dict(c) for c in feature.children]}
+
+
+def reference_feature_state(tree: AssetTree) -> bytes:
+    """``features/NNNN.json`` built afresh from the tree, reading no value
+    kept on a node: a dict per repository, each mapped asset's ref searched
+    for with ``make_asset_ref``, encoded by ``json.dumps``."""
+    repos = {}
+    for repo in tree.repositories:
+        mappings = [{"asset": make_asset_ref(tree, node).to_text(),
+                     "features": sorted("/".join(p) for p in node.mapped_features)}
+                    for node in repo.iter_nodes() if node.mapped_features]
+        mappings.sort(key=lambda m: m["asset"])
+        repos[repo.name] = {
+            "model": _feature_dict(repo.feature_model.root) if repo.feature_model else None,
+            "mappings": mappings}
+    state = {"schema": SCHEMA_VERSION, "revision": tree.revision, "repos": repos}
+    return (json.dumps(state, sort_keys=True, indent=1) + "\n").encode("utf-8")

@@ -23,12 +23,12 @@ import pytest
 
 from evogen import history, model, runner
 from evogen.history import (_repo_files, _repo_fragment, _tree_files,
-                            feature_state, materialize_tree, validate_history)
+                            materialize_tree, validate_history)
 from evogen.operations import Committed
 from evogen.minilang import MinilangAdapter, check_files, check_snapshot_dir
 from evogen.runner import PRESET_NAMES, run
 
-from conftest import mix_config
+from conftest import mix_config, reference_feature_state
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
@@ -138,10 +138,10 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, oracle_corpus, 
     assert seen["gate vs disk"] == []
     assert seen["problems not reused"] == []
     assert seen["replayed"] == committed + 1
-    # every kind of kept value was seen; validate writes no feature state
+    # every kind of kept value was seen
     assert set(seen["checked"]) == {
         "files in generate", "problems in generate", "fragment in generate",
-        "files in validate", "problems in validate"}
+        "files in validate", "problems in validate", "fragment in validate"}
     assert seen["verdicts"].count(True) == committed + 1  # + revision 0
     assert seen["verdicts"].count(False) > 0
 
@@ -198,7 +198,7 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, oracle_corpus, tmp_pat
 
     def state(tree):
         return {"render": _tree_files(tree),
-                "feature state": feature_state(tree),
+                "feature state": reference_feature_state(tree),
                 "traces": list(tree.traces.traces),
                 "donors": {k: copy.deepcopy(vars(d)) for k, d in tree.donors.items()}}
 

@@ -116,6 +116,8 @@ class TestGenerate:
         ("distribution: [1]\n", "distribution"),
         ("generators: []\n", "generators"),
         ("sensibility_discard_prob: hi\n", "sensibility_discard_prob"),
+        ("max_iteration: 3\n", "max_iteration"),
+        ("checker: {comand: echo}\n", "checker.comand"),
     ])
     def test_config_value_of_wrong_type_exit_two_writing_nothing(self, runner, tmp_path,
                                                                  content, key):
@@ -236,7 +238,24 @@ class TestValidate:
         report = json.loads((out / "validation.json").read_text())
         assert [(v["kind"], v["where"]) for v in report["violations"]] == [
             ("mapping-consistency", "0001.json")]
-        assert "malformed feature state" in report["violations"][0]["message"]
+        assert report["violations"][0]["message"] == \
+            "stored feature state differs from replayed state"
+
+    def test_torn_tail_is_a_layout_violation(self, runner, tmp_path):
+        """A run cut after writing a revision and before its ledger record
+        leaves a snapshot and a feature state that no record accounts for."""
+        _, out = generate_history(runner, tmp_path)
+        ledger = out / "ledger.ndjson"
+        lines = ledger.read_text().splitlines(keepends=True)
+        ledger.write_text("".join(lines[:-1]))
+        (out / "run.json").unlink()
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 1
+        report = json.loads((out / "validation.json").read_text())
+        torn = f"{len(lines):04d}"
+        assert [v for v in report["violations"] if v["kind"] == "layout"] == [
+            {"kind": "layout", "where": torn, "message": "no ledger record"},
+            {"kind": "layout", "where": f"{torn}.json", "message": "no ledger record"}]
 
     @pytest.mark.parametrize("key", ["kind", "params", "op_id",
                                      "revision_before", "revision_after"])

@@ -11,7 +11,7 @@ import pytest
 from evogen import history as history_module
 from evogen import minilang, runner
 from evogen.errors import ReplayDivergence, SnapshotIoError
-from evogen.history import (_read_snapshot, _tree_files, feature_state,
+from evogen.history import (_read_snapshot, _tree_files,
                             materialize_tree, parse_initial_system,
                             parse_snapshot, read_ledger, replay_history,
                             validate_history, write_feature_state,
@@ -21,8 +21,8 @@ from evogen.model import FOLDER, AssetTree, Feature
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
-from conftest import (build_repo, random_fs_tree, write_donor,
-                      write_initial_system)
+from conftest import (build_repo, random_fs_tree, reference_feature_state,
+                      write_donor, write_initial_system)
 
 
 @pytest.fixture
@@ -127,9 +127,8 @@ class TestLedgerAndReplay:
 
     def test_replayed_feature_state_matches_stored(self, history, adapter):
         for revision, tree in replay_history(history, adapter):
-            stored = json.loads(
-                (history / "features" / f"{revision:04d}.json").read_text())
-            assert stored == feature_state(tree)
+            stored = (history / "features" / f"{revision:04d}.json").read_bytes()
+            assert stored == reference_feature_state(tree)
 
     def test_malformed_ledger_line_raises(self, history, adapter):
         ledger = history / "ledger.ndjson"
@@ -448,11 +447,6 @@ class TestIncrementalSnapshots:
         assert check_tree(parse_snapshot(snap), adapter) == expected
 
 
-def _full_feature_state(tree: AssetTree) -> bytes:
-    return (json.dumps(feature_state(tree), sort_keys=True, indent=1)
-            + "\n").encode("utf-8")
-
-
 class TestFeatureStateBytes:
     """``features/NNNN.json`` is assembled from per-repository fragments,
     each kept on its repository node until the node is owned again; the
@@ -471,7 +465,7 @@ class TestFeatureStateBytes:
         most_repositories = 0
         for revision, tree in replay_history(out, adapter):
             stored = (out / "features" / f"{revision:04d}.json").read_bytes()
-            assert stored == _full_feature_state(tree), f"revision {revision}"
+            assert stored == reference_feature_state(tree), f"revision {revision}"
             most_repositories = max(most_repositories, len(tree.repositories))
         if mix == "variants":
             assert most_repositories > 2
@@ -480,7 +474,7 @@ class TestFeatureStateBytes:
         tree = AssetTree()
         write_feature_state(tree, tmp_path)
         assert (tmp_path / "features" / "0000.json").read_bytes() == \
-            _full_feature_state(tree)
+            reference_feature_state(tree)
 
     def test_awkward_text_and_reused_fragments(self, tmp_path):
         names = ["caf\u00e9 \u4e2d\U0001f600", 'say "hi" \\ back', "tab\there\x01\x1f\x7f",
@@ -497,7 +491,7 @@ class TestFeatureStateBytes:
         def check(tree):
             write_feature_state(tree, tmp_path)
             path = tmp_path / "features" / f"{tree.revision:04d}.json"
-            assert path.read_bytes() == _full_feature_state(tree)
+            assert path.read_bytes() == reference_feature_state(tree)
             return {repo.name: repo.derived["fragment"]
                     for repo in tree.repositories}
 

@@ -6,7 +6,7 @@ from evogen import model
 from evogen.errors import (EvogenError, SelfTrace, UnknownFeature,
                            UnrelatedRepositories)
 from evogen.generators import GENERATOR_IDS, GenContext, generate
-from evogen.history import _tree_files, feature_state, parse_initial_system
+from evogen.history import _tree_files, parse_initial_system
 from evogen.minilang import MinilangAdapter
 from evogen.model import (AssetTree, CloneTrace, Feature, FILE,
                           feature_exclusive_assets, flatten_lines,
@@ -15,8 +15,8 @@ from evogen.operations import execute
 from evogen.refs import make_asset_ref
 from evogen.transplant import load_donor
 
-from conftest import (build_repo, random_fs_tree, write_donor,
-                      write_initial_system)
+from conftest import (build_repo, random_fs_tree, reference_feature_state,
+                      write_donor, write_initial_system)
 
 
 def mapped(repo, path, *features):
@@ -229,14 +229,14 @@ class TestCopyOnWrite:
             if candidate.kind == "TransplantFeature":
                 ctx.consumed.add((candidate.params["donor"],
                                   candidate.params["test_id"]))
-            before = (_tree_files(other), feature_state(other))
+            before = (_tree_files(other), reference_feature_state(other))
             try:
                 execute(side, candidate.kind, candidate.params, f"op{step}",
                         adapter=adapter)
                 ok = True
             except EvogenError:
                 ok = False
-            assert (_tree_files(other), feature_state(other)) == before, \
+            assert (_tree_files(other), reference_feature_state(other)) == before, \
                 f"step {step}: {candidate.kind} on the {'clone' if side is twin else 'original'}"
             if ok:
                 applied.add((candidate.kind, "clone" if side is twin else "original"))

@@ -9,7 +9,7 @@ from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
 from evogen.history import materialize_tree
 from evogen.minilang import MinilangAdapter, check_tree
 from evogen.model import AssetTree, FILE, Feature, structurally_equal
-from evogen.operations import (Committed, OperationRecord, RolledBack,
+from evogen.operations import (Committed, RolledBack,
                                apply_clone_feature, apply_clone_variant,
                                apply_mutate_asset, apply_remove_feature,
                                execute, run_in_transaction)
@@ -216,12 +216,6 @@ class TestCloneFeature:
 
 
 class TestRecordRoundTrip:
-    def test_record_dict_round_trip(self):
-        rec = OperationRecord("op1", "MutateAsset", {"x": 1}, 0, 1)
-        rec.add_sub("AddAsset", {"asset": "1:/r/a.mini"})
-        again = OperationRecord.from_dict(rec.to_dict())
-        assert again == rec
-
     @pytest.mark.parametrize("seed", range(15))
     def test_replay_oracle_random_mutations(self, seed):
         """Re-executing serialized records on a copy reproduces the state."""

@@ -7,6 +7,7 @@ back to the node.  The counting tests pin that the meta-data writers no
 longer search the tree once per ref.
 """
 
+import json
 import random
 
 import pytest
@@ -95,7 +96,7 @@ def _count_path_to(monkeypatch) -> list:
 def test_feature_state_searches_at_most_once_per_repository(monkeypatch):
     tree = _three_mapped_repositories()
     calls = _count_path_to(monkeypatch)
-    state = feature_state(tree)
+    state = json.loads(feature_state(tree))
     assert len(calls) <= len(tree.repositories) == 3
     assert [len(r["mappings"]) for r in state["repos"].values()] == [3, 3, 3]
 

@@ -8,8 +8,12 @@
   the ``validation.json`` that fresh reads give.
 - Writer: ``_write_tree`` joins strings, so a snapshot write builds a fixed
   number of ``Path`` objects, whatever the number of entries.
-- Emitter: ``_state_json`` must equal ``json.dumps(sort_keys=True,
-  indent=1)`` on every value of the feature-state schema.
+- Emitter: ``feature_state``, joined from the fragments kept on the
+  repository nodes, must equal ``reference_feature_state`` (one
+  ``json.dumps`` of a dict built afresh) on random trees with awkward text,
+  also after a fragment is reused at a later revision.  ``validate`` compares
+  the stored ``features/NNNN.json`` byte for byte, so a re-indented file is a
+  violation.
 """
 
 import json
@@ -22,11 +26,12 @@ from click.testing import CliRunner
 
 from evogen import history as history_module
 from evogen.cli import main
-from evogen.history import _read_snapshot, _state_json, write_snapshot
-from evogen.model import FILE
+from evogen.history import _read_snapshot, feature_state, write_snapshot
+from evogen.model import FILE, Feature, FeatureModel
 from evogen.runner import PRESET_NAMES, run
 
-from conftest import mix_config, random_fs_tree, write_donor, write_initial_system
+from conftest import (mix_config, random_fs_tree, random_structured_tree,
+                      reference_feature_state, write_donor, write_initial_system)
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
@@ -120,10 +125,10 @@ def _generate(tmp_path: Path) -> Path:
 
 def _victim(out: Path, wanted) -> Path:
     """The first path of a middle revision, in name order, that `wanted`
-    accepts."""
+    accepts: one of its snapshot, then its feature state."""
     snaps = _snapshots(out)
     for snap in snaps[len(snaps) // 2:]:
-        for path in sorted(snap.rglob("*")):
+        for path in [*sorted(snap.rglob("*")), out / "features" / f"{snap.name}.json"]:
             if wanted(path):
                 return path
     pytest.fail("no path to tamper with")
@@ -150,12 +155,22 @@ def _rewrite(path: Path) -> None:
     path.write_bytes(data + b"tampered\n")
 
 
+def _feature_state(path: Path) -> bool:
+    return path.parent.name == "features"
+
+
+def _reindent(path: Path) -> None:
+    """Rewrite a JSON file with another indent: equal as JSON, not as bytes."""
+    path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
+
+
 TAMPERS = {
     "byte changed in a linked file": (_linked, _change_first_byte),
     "byte changed in an unlinked file": (_unlinked, _change_first_byte),
     "linked file rewritten under a new inode": (_linked, _rewrite),
     "empty folder removed": (
         lambda p: p.is_dir() and not any(p.iterdir()), Path.rmdir),
+    "feature state re-indented": (_feature_state, _reindent),
 }
 
 
@@ -166,12 +181,15 @@ def _validation_json(out: Path) -> tuple[int, bytes]:
 
 @pytest.mark.parametrize("tamper", sorted(TAMPERS))
 def test_validate_on_tampered_copy_equals_fresh_reads(tamper, tmp_path, monkeypatch):
+    """``validation.json`` with the inode-reusing reader and the kept
+    fragments equals the one with fresh reads and the reference encoder."""
     out = _generate(tmp_path)
     wanted, change = TAMPERS[tamper]
     victim = _victim(out, wanted)
-    rel, inode = victim.relative_to(_snap_of(victim)), os.stat(victim).st_ino
-    sharing = {snap.name for snap in _snapshots(out)
-               if os.path.lexists(snap / rel) and os.stat(snap / rel).st_ino == inode}
+    if wanted is not _feature_state:
+        rel, inode = victim.relative_to(_snap_of(victim)), os.stat(victim).st_ino
+        sharing = {snap.name for snap in _snapshots(out)
+                   if os.path.lexists(snap / rel) and os.stat(snap / rel).st_ino == inode}
     change(victim)
     exit_code, reused = _validation_json(out)
 
@@ -180,10 +198,15 @@ def test_validate_on_tampered_copy_equals_fresh_reads(tamper, tmp_path, monkeypa
     def fresh(root, prefix="", inodes=None):
         return real(root, prefix)
     monkeypatch.setattr(history_module, "_read_snapshot", fresh)
+    monkeypatch.setattr(history_module, "feature_state", reference_feature_state)
     assert _validation_json(out) == (exit_code, reused)
     assert exit_code == 1
-    where = {v["where"] for v in json.loads(reused)["violations"]
-             if v["kind"] == "replay-fidelity"}
+    violations = json.loads(reused)["violations"]
+    if wanted is _feature_state:
+        assert violations == [{"kind": "mapping-consistency", "where": victim.name,
+                               "message": "stored feature state differs from replayed state"}]
+        return
+    where = {v["where"] for v in violations if v["kind"] == "replay-fidelity"}
     # a change in place shows in every revision that links the file
     assert where == (sharing if change is _change_first_byte else {_snap_of(victim).name})
     assert (len(sharing) > 1) == (wanted is _linked)
@@ -242,54 +265,65 @@ def test_snapshot_write_builds_a_fixed_number_of_paths(tmp_path, monkeypatch):
 
 #: characters json.dumps escapes in some way, and some it keeps
 ALPHABET = ["a", "Z", " ", "/", "!", '"', "\\", "\x00", "\x08", "\t", "\n", "\r",
-            "\x1f", "\x7f", "\x80", "é", "中", " ", " ", "\ud800",
-            "﻿", "\U0001f600", "\U0010ffff"]
+            "\x1f", "\x7f", "\x80", "é", "中", "\u2028", "\u2029", "\ud800",
+            "\ufeff", "\U0001f600", "\U0010ffff", '"asset": "', ":", "#", "1"]
 
 
 def _text(rng: random.Random) -> str:
     return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(6)))
 
 
-def _feature(rng: random.Random, depth: int) -> dict:
+def _feature(rng: random.Random, depth: int) -> Feature:
     children = [_feature(rng, depth - 1) for _ in range(rng.randrange(3))] \
         if depth > 1 else []
-    return {"name": _text(rng), "origin": _text(rng) if rng.random() < 0.8 else None,
-            "children": children}
+    return Feature(_text(rng), _text(rng), children)
 
 
-def _repo_state(rng: random.Random) -> dict:
-    """A repository's feature state: a model 6 deep, or none, and mappings."""
-    return {"model": _feature(rng, 6) if rng.random() < 0.8 else None,
-            "mappings": [{"asset": _text(rng),
-                          "features": [_text(rng) for _ in range(rng.randrange(3))]}
-                         for _ in range(rng.randrange(4))]}
-
-
-def _value(rng: random.Random, depth: int):
-    """Any value of the schema's types: dict, list, str and None."""
-    kind = rng.randrange(4 if depth > 0 else 2)
-    if kind == 0:
-        return None
-    if kind == 1:
-        return _text(rng)
-    if kind == 2:
-        return [_value(rng, depth - 1) for _ in range(rng.randrange(4))]
-    return {_text(rng): _value(rng, depth - 1) for _ in range(rng.randrange(4))}
+def _awkward_tree(rng: random.Random):
+    """A random tree whose repositories, features and mappings carry awkward
+    names; some repositories have no feature model."""
+    tree = random_structured_tree(rng)
+    tree.revision = rng.randrange(12)
+    for r, repo in enumerate(tree.repositories):
+        repo.name = _text(rng) + str(r)
+        repo.feature_model = FeatureModel(_feature(rng, 6)) if rng.random() < 0.8 else None
+        for node in repo.iter_nodes():
+            if rng.random() < 0.4:
+                node.mapped_features = {tuple(_text(rng) for _ in range(rng.randint(1, 3)))
+                                        for _ in range(rng.randint(1, 3))}
+    return tree
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_emitter_equals_json_dumps(seed):
     rng = random.Random(seed)
-    values = [_repo_state(rng), _value(rng, 6), {}, [], None, "",
-              {"model": None, "mappings": []}]
-    for value in values:
-        expected = json.dumps(value, sort_keys=True, indent=1)
-        assert _state_json(value) == expected
-        assert _state_json(value, "  ") == expected.replace("\n", "\n  ")
+    tree = _awkward_tree(rng)
+    assert feature_state(tree) == reference_feature_state(tree)
+    # the fragments kept on the nodes are joined again at later revisions,
+    # across a change in the revision's number of digits
+    for _ in range(3):
+        tree.revision += rng.randint(1, 9)
+        assert all("fragment" in repo.derived for repo in tree.repositories)
+        assert feature_state(tree) == reference_feature_state(tree)
+
+
+def _set_feature_name(tree, value) -> None:
+    tree.repositories[0].feature_model.root.children[0].name = value
+
+
+def _set_feature_origin(tree, value) -> None:
+    tree.repositories[0].feature_model.root.origin = value
 
 
 @pytest.mark.parametrize("value", [1, 1.5, True, ("a",), {"a"}, b"a",
                                    {"model": [0]}, {"a": {"b": False}}])
 def test_emitter_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _state_json(value)
+    """Feature names and origins are strings in the schema; the emitter
+    raises TypeError on any other value rather than write what
+    ``json.dumps`` would not."""
+    for place in (_set_feature_name, _set_feature_origin):
+        tree = random_fs_tree(random.Random(0))
+        tree.repositories[0].feature_model.root.children = [Feature("f", "op1")]
+        place(tree, value)
+        with pytest.raises(TypeError):
+            feature_state(tree)
