@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
-from .errors import SelfTrace, UnknownFeature, UnrelatedRepositories
+from .errors import SelfTrace, UnknownFeature
 
 ROOT = "root"
 REPOSITORY = "repository"
@@ -133,23 +133,6 @@ def flatten_lines(node: AssetNode) -> list[str]:
 
 def file_line_count(node: AssetNode) -> int:
     return len(flatten_lines(node))
-
-
-def structurally_equal(a: AssetNode, b: AssetNode) -> bool:
-    """Node-for-node equality over (kind, name, content, child order) plus
-    feature mappings and models; node ids are deliberately ignored."""
-    if (a.kind, a.name, a.content) != (b.kind, b.name, b.content):
-        return False
-    if a.mapped_features != b.mapped_features:
-        return False
-    if (a.feature_model is None) != (b.feature_model is None):
-        return False
-    if a.feature_model is not None and b.feature_model is not None:
-        if a.feature_model.paths() != b.feature_model.paths():
-            return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
 
 
 # -- line-level edits over possibly structured files -------------------------
@@ -397,15 +380,6 @@ class AssetTree:
         trail: list[AssetNode] = []
         return trail if walk(self.root, trail) else None
 
-    def repository_of(self, node: AssetNode) -> Optional[AssetNode]:
-        trail = self.path_to(node)
-        if not trail:
-            return None
-        for anc in trail:
-            if anc.kind == REPOSITORY:
-                return anc
-        return None
-
     # trace-based correspondence
 
     def _trace_reach(self, start: int, step: Callable[[int], list[int]]) -> Iterator[int]:
@@ -430,14 +404,11 @@ class AssetTree:
 
     def corresponding_asset(self, node: AssetNode,
                             target_repo: AssetNode) -> Optional[AssetNode]:
-        """The asset in `target_repo` linked to `node` by a clone-trace chain,
-        or None when the asset postdates the repository clone."""
-        source_repo = self.repository_of(node)
-        if source_repo is None or not self.repositories_related(source_repo, target_repo):
-            raise UnrelatedRepositories(
-                f"{source_repo.name if source_repo else '?'} / {target_repo.name}")
-        if source_repo is target_repo:
-            return node
+        """The first node on the breadth-first clone-trace walk from `node`
+        that lies in `target_repo`, or None.  The walk yields `node` first,
+        so a node of `target_repo` answers for itself.  None means that no
+        trace chain reaches the repository: the asset postdates the
+        repository clone, or the repositories are unrelated."""
         present = {n.node_id: n for n in target_repo.iter_nodes()}
         for cur in self._trace_reach(node.node_id, self.traces.neighbors):
             if cur in present:
@@ -453,7 +424,9 @@ class AssetTree:
         trees name all repositories in ``shared``.  The write rule holds for
         every tree, a clone or not: change a repository only after
         ``own(name)``, and look up every node you change anew after that
-        call, since nodes found before it may belong to a shared copy.
+        call, since nodes found before it may belong to a shared copy.  A
+        repository that is only read needs no ``own``, so the refs and
+        parents that one walk of it finds stay valid while it is not owned.
         """
         twin = AssetTree.__new__(AssetTree)
         twin._next_id = self._next_id

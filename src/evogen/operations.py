@@ -8,7 +8,7 @@ high-level operator are recorded as nested sub-operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from . import model
 from .errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
@@ -16,9 +16,9 @@ from .errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
                      UnrelatedRepositories)
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER,
                     MANIFEST_NAME, REPOSITORY)
-from .refs import (AssetRef, FeatureRef, lpq_to_full_path, make_asset_ref,
-                   repository_refs, resolve_asset_ref, resolve_feature_ref,
-                   walk_asset_refs)
+from .refs import (AssetRef, FeatureRef, _child_path, lpq_to_full_path,
+                   make_asset_ref, repository_refs, resolve_asset_ref,
+                   resolve_feature_ref, walk_asset_refs)
 
 ADD_LINE = "addLine"
 REPLACE_LINE = "replaceLine"
@@ -59,24 +59,6 @@ class OperationRecord:
 def _repository_name(fs_path: str) -> str:
     """Name of the repository an asset ref's filesystem path lies in."""
     return fs_path.strip("/").split("/")[0]
-
-
-def detach_node(tree: AssetTree, node: AssetNode) -> None:
-    trail = tree.path_to(node)
-    if not trail or len(trail) < 2:
-        raise EvogenError(f"cannot detach {node.name!r}")
-    trail[-2].children.remove(node)
-
-
-def slice_donor(tree: AssetTree, repo: AssetNode, node: AssetNode) -> Optional[str]:
-    """The donor id when `node` is a file inside a slice of `repo`."""
-    trail = tree.path_to(node)
-    if not trail:
-        return None
-    names = [n.name for n in trail[trail.index(repo) + 1:]]
-    if len(names) >= 3 and names[0] == SLICES_DIR:
-        return names[1]
-    return None
 
 
 def ensure_folder_path(tree: AssetTree, base: AssetNode, segments: list[str],
@@ -146,18 +128,8 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
 
     removed_paths = {p for p in repo.feature_model.paths()
                      if p[:len(feature_path)] == feature_path}
-    exclusive = model.feature_exclusive_assets(repo, feature_path)
-
-    # refs cite the pre-state, so mint them before surgery shifts any index
-    exclusive_ids = {a.node_id for a in exclusive}
-    pre_refs = {node.node_id: ref.to_text() for node, ref in repository_refs(
-        tree, repo, lambda n: n.node_id in exclusive_ids)}
-    detached: set[int] = set()
-    for asset in exclusive:  # preorder, so an ancestor comes first
-        if asset.node_id not in detached:
-            record.add_sub("RemoveAsset", {"asset": pre_refs[asset.node_id]})
-            detach_node(tree, asset)
-            detached.update(node.node_id for node in asset.iter_nodes())
+    exclusive_ids = {a.node_id for a in model.feature_exclusive_assets(repo, feature_path)}
+    _remove_children(repo, f"/{repo.name}", (), exclusive_ids, record)
 
     for node, ref in repository_refs(tree, repo,
                                      lambda n: n.mapped_features & removed_paths):
@@ -169,6 +141,26 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
 
     repo.feature_model.remove(feature_path)
     return record
+
+
+def _remove_children(node: AssetNode, fs_path: str, index_path: tuple[int, ...],
+                     ids: set[int], record: OperationRecord) -> None:
+    """Drop each descendant of `node` whose id is in `ids`, in one preorder
+    pass that does not enter a dropped subtree; `fs_path` and `index_path`
+    are the parts of `node`'s ref.  Each RemoveAsset cites the pre-state:
+    positions count the child list as it was, so a dropped sibling shifts
+    no later ref."""
+    kept = []
+    for position, child in enumerate(node.children):
+        parts = _child_path(fs_path, index_path, child, position)
+        if child.node_id in ids:
+            record.add_sub("RemoveAsset", {
+                "asset": AssetRef(record.revision_before, *parts).to_text()})
+        else:
+            kept.append(child)
+            _remove_children(child, *parts, ids, record)
+    if len(kept) < len(node.children):
+        node.children = kept
 
 
 # -- MutateAsset -------------------------------------------------------------
@@ -253,10 +245,13 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     plan: dict = params.get("plan") or {}
     new_slice_dirs: list[str] = []
 
-    for asset in list(src_repo.iter_nodes()):
+    # src_repo is not the target (that would be AlreadyPresent), so nothing
+    # below changes it and one walk gives every ref and parent
+    parents = {child.node_id: node for node in src_repo.iter_nodes()
+               for child in node.children}
+    for asset, ref in repository_refs(tree, src_repo,
+                                      lambda n: n.mapped_features & cloned_paths):
         relevant = asset.mapped_features & cloned_paths
-        if not relevant:
-            continue
         mapped_paths = sorted(translate(p) for p in relevant)
         twin = tree.corresponding_asset(asset, tgt_repo)
         if twin is not None:
@@ -266,18 +261,17 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
                 "features": ["/".join(p) for p in mapped_paths]})
             continue
 
-        src_trail = tree.path_to(asset)
-        src_parent = src_trail[-2]
+        src_parent = parents[asset.node_id]
         tgt_parent = tree.corresponding_asset(src_parent, tgt_repo)
         if tgt_parent is None:
-            # parent chain exists only as folders (e.g. a slice directory)
-            names = [n.name for n in src_trail[src_trail.index(src_repo) + 1:-1]]
-            if any(n.kind not in (FOLDER, REPOSITORY) for n in src_trail[
-                    src_trail.index(src_repo):-1]):
+            # parent chain exists only as folders (e.g. a slice directory);
+            # an index path means a file lies on it
+            if ref.index_path:
                 raise EvogenError(f"no corresponding parent for {asset.name!r}")
+            names = ref.fs_path.strip("/").split("/")[1:-1]
             tgt_parent = ensure_folder_path(tree, tgt_repo, names, record)
 
-        src_ref = make_asset_ref(tree, asset).to_text()
+        src_ref = ref.to_text()
         if src_ref in plan:
             index = plan[src_ref]
         else:
@@ -288,15 +282,17 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
         clone.mapped_features = set(mapped_paths)
         tgt_parent.children.insert(index, clone)
         _record_subtree_traces(tree, asset, clone, op_id, rev_after)
+        target = make_asset_ref(tree, clone).at_revision(rev_after)
         record.add_sub("CloneAsset", {
             "source": src_ref,
-            "target": make_asset_ref(tree, clone).at_revision(rev_after).to_text(),
+            "target": target.to_text(),
             "index": index,
             "features": ["/".join(p) for p in mapped_paths]})
 
-        donor_id = slice_donor(tree, tgt_repo, clone)
-        if donor_id and clone.kind == FILE:
-            slice_dir = f"{SLICES_DIR}/{donor_id}"
+        # a file cloned into /<repo>/slices/<donor>/... declares that slice
+        segments = target.fs_path.strip("/").split("/")
+        if clone.kind == FILE and len(segments) >= 4 and segments[1] == SLICES_DIR:
+            slice_dir = f"{SLICES_DIR}/{segments[2]}"
             if slice_dir not in new_slice_dirs:
                 new_slice_dirs.append(slice_dir)
 
@@ -313,10 +309,7 @@ def _default_integration_index(tree: AssetTree, src_parent: AssetNode,
     for sibling in src_parent.children:
         if sibling is asset:
             break
-        try:
-            twin = tree.corresponding_asset(sibling, tgt_repo)
-        except UnrelatedRepositories:
-            twin = None
+        twin = tree.corresponding_asset(sibling, tgt_repo)
         if twin is not None and twin.node_id in tgt_positions:
             best = max(best, tgt_positions[twin.node_id])
     return best + 1 if best >= 0 else len(tgt_parent.children)

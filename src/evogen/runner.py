@@ -282,6 +282,11 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
     if unknown:
         raise BadDistribution(f"unknown generators: {sorted(unknown)}")
     check_weights(distribution)
+    unlisted = sorted(g for g, weight in distribution.items()
+                      if weight and g not in config.generators)
+    if unlisted:
+        raise BadDistribution(f"distribution weights generators missing from"
+                              f" generators: {unlisted}")
     terminated = parse_termination(config.termination)
 
     try:

@@ -98,7 +98,6 @@ def _resolve_imports(adapter, lines, module_index, externals):
 class Organ:
     """Everything needed to re-create a transplanted feature byte-identically."""
 
-    donor_id: str
     in_file_deps: list[str]              # the test file's import statements
     slice_files: dict[str, list[str]]    # donor src-relative path -> lines
     manifest_lines: list[str]            # adapted donor manifest, emitted
@@ -164,7 +163,6 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
 
     body = list(donor.files[candidate.file][candidate.body_start:candidate.body_end + 1])
     return Organ(
-        donor_id=donor.id,
         in_file_deps=list(candidate.imports),
         slice_files={src_rel(r): list(donor.files[r]) for r in sorted(slice_set)},
         manifest_lines=adapter.manifest_emit(fragment),
@@ -217,14 +215,16 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
     donor_id = params["donor"]
     organ = params["organ"]
 
-    parent = resolve_asset_ref(tree, AssetRef.from_text(params["insertion_parent"]))
-    if parent.kind != FILE or parent.name == MANIFEST_NAME:
+    # the ref alone places the parent: a file is addressed by its filesystem
+    # path, /<repo>/<folder>/.../<file>, and never by an index path
+    parent_ref = AssetRef.from_text(params["insertion_parent"])
+    parent = resolve_asset_ref(tree, parent_ref)
+    if parent.kind != FILE or parent.name == MANIFEST_NAME or parent_ref.index_path:
         raise ForbiddenInsertionPoint(params["insertion_parent"])
-    trail = tree.path_to(parent)
-    repo_idx = trail.index(repo) if repo in trail else -1
-    if repo_idx < 0:
+    segments = parent_ref.fs_path.strip("/").split("/")
+    if segments[0] != repo.name:
         raise ForbiddenInsertionPoint("insertion point outside target repository")
-    if any(n.name == SLICES_DIR for n in trail[repo_idx + 1:-1]):
+    if SLICES_DIR in segments[1:-1]:
         raise ForbiddenInsertionPoint("insertion point inside a project slice")
 
     # (1) guard-wrapped test body and imports become new block assets

@@ -6,8 +6,8 @@ import pytest
 
 from evogen.history import SCHEMA_VERSION, parse_initial_system
 from evogen.minilang import MinilangAdapter
-from evogen.model import (FILE, FOLDER, LINE, REPOSITORY, AssetTree, Feature,
-                          FeatureModel)
+from evogen.model import (FILE, FOLDER, LINE, REPOSITORY, AssetNode, AssetTree,
+                          Feature, FeatureModel)
 from evogen.refs import make_asset_ref
 from evogen.runner import RunConfig, preset
 from evogen.transplant import load_donor
@@ -190,6 +190,23 @@ def random_structured_tree(rng: random.Random) -> AssetTree:
                         tree.new_node(LINE, "", content=[f"flat {j}"]))
             node.content = None
     return tree
+
+
+def structurally_equal(a: AssetNode, b: AssetNode) -> bool:
+    """Node-for-node equality over (kind, name, content, child order) plus
+    feature mappings and models; node ids are deliberately ignored."""
+    if (a.kind, a.name, a.content) != (b.kind, b.name, b.content):
+        return False
+    if a.mapped_features != b.mapped_features:
+        return False
+    if (a.feature_model is None) != (b.feature_model is None):
+        return False
+    if a.feature_model is not None and b.feature_model is not None:
+        if a.feature_model.paths() != b.feature_model.paths():
+            return False
+    if len(a.children) != len(b.children):
+        return False
+    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
 
 
 # -- reference encodings -----------------------------------------------------

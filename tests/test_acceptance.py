@@ -15,16 +15,15 @@ from scipy.stats import chisquare
 from evogen.generators import clone_feature_triples
 from evogen.history import read_ledger, replay_history
 from evogen.minilang import MinilangAdapter, check_snapshot_dir
-from evogen.model import (AssetTree, FILE, Feature, feature_exclusive_assets,
-                          structurally_equal)
+from evogen.model import AssetTree, FILE, Feature, feature_exclusive_assets
 from evogen.operations import apply_clone_variant
 from evogen.refs import AssetRef, make_asset_ref, resolve_asset_ref
 from evogen.runner import PRESET_NAMES, preset, run, select_generator
 from evogen.stats import compute_metrics
 from evogen.transplant import extract_organ, load_donor
 
-from conftest import (build_repo, random_fs_tree, write_donor,
-                      write_initial_system)
+from conftest import (build_repo, random_fs_tree, structurally_equal,
+                      write_donor, write_initial_system)
 
 ADAPTER = MinilangAdapter()
 ITERATIONS = 200

@@ -137,6 +137,8 @@ class TestGenerate:
         ("distribution: {mutAdd: 0.5}\n", "weights must be non-negative and sum to 1"),
         ("generators: [mutAdd, nope]\n", "unknown generators: ['nope']"),
         ("distribution: {nope: 1.0}\n", "unknown generators: ['nope']"),
+        ("generators: [mutAdd]\ndistribution: {mutAdd: 0.5, mutDelete: 0.5}\n",
+         "distribution weights generators missing from generators: ['mutDelete']"),
     ])
     def test_bad_distribution_exit_two_writing_nothing(self, runner, tmp_path,
                                                        content, message):

@@ -1,4 +1,4 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package, its tests and its benchmark is used.
 
 A name an import binds must be read somewhere in its module: in code, or in
 an annotation written as a string.  An import kept only so that another
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "evogen").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "evogen").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def _annotation_names(node: ast.AST) -> set[str]:

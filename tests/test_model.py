@@ -3,20 +3,18 @@ import random
 import pytest
 
 from evogen import model
-from evogen.errors import (EvogenError, SelfTrace, UnknownFeature,
-                           UnrelatedRepositories)
+from evogen.errors import EvogenError, SelfTrace, UnknownFeature
 from evogen.generators import GENERATOR_IDS, GenContext, generate
 from evogen.history import _tree_files, parse_initial_system
 from evogen.minilang import MinilangAdapter
 from evogen.model import (AssetTree, CloneTrace, Feature, FILE,
-                          feature_exclusive_assets, flatten_lines,
-                          structurally_equal)
+                          feature_exclusive_assets, flatten_lines)
 from evogen.operations import execute
 from evogen.refs import make_asset_ref
 from evogen.transplant import load_donor
 
 from conftest import (build_repo, random_fs_tree, reference_feature_state,
-                      write_donor, write_initial_system)
+                      structurally_equal, write_donor, write_initial_system)
 
 
 def mapped(repo, path, *features):
@@ -137,12 +135,17 @@ class TestCorrespondingAsset:
         r1.children.append(late)
         assert tree.corresponding_asset(late, r2) is None
 
-    def test_unrelated_repositories_raise(self):
+    def test_unrelated_repositories_give_none(self):
+        # CloneFeature refuses unrelated repositories before it asks
         tree = AssetTree()
         r1 = build_repo(tree, "r1", {"a.mini": ["x"]})
         r2 = build_repo(tree, "r2", {"a.mini": ["x"]})
-        with pytest.raises(UnrelatedRepositories):
-            tree.corresponding_asset(r1.child_named("a.mini"), r2)
+        assert tree.corresponding_asset(r1.child_named("a.mini"), r2) is None
+
+    def test_node_of_target_repository_answers_for_itself(self):
+        tree, r1, _ = self._cloned_pair()
+        a = r1.child_named("a.mini")
+        assert tree.corresponding_asset(a, r1) is a
 
     def test_two_hop_chain(self):
         from evogen.operations import apply_clone_variant

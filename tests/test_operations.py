@@ -8,14 +8,14 @@ from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
                            UnrelatedRepositories)
 from evogen.history import materialize_tree
 from evogen.minilang import MinilangAdapter, check_tree
-from evogen.model import AssetTree, FILE, Feature, structurally_equal
+from evogen.model import AssetTree, FILE, Feature
 from evogen.operations import (Committed, RolledBack,
                                apply_clone_feature, apply_clone_variant,
                                apply_mutate_asset, apply_remove_feature,
                                execute, run_in_transaction)
 from evogen.refs import make_asset_ref, make_feature_ref
 
-from conftest import build_repo
+from conftest import build_repo, structurally_equal
 
 
 def featured_repo(tree, name="r"):

@@ -4,22 +4,30 @@ At every revision of seeded histories, and for every repository, each
 ``(node, ref)`` pair that ``repository_refs`` yields must equal
 ``make_asset_ref`` (one ``AssetTree.path_to`` search per node) and resolve
 back to the node.  The counting tests pin that the meta-data writers no
-longer search the tree once per ref.
+longer search the tree once per ref, and that no code but ``make_asset_ref``
+searches it at all.
 """
 
 import json
 import random
+import sys
 
 import pytest
 
-from evogen.history import feature_state, replay_history
+from evogen.history import feature_state, read_ledger, replay_history
 from evogen.model import FILE, AssetTree
 from evogen.operations import apply_clone_variant
 from evogen.refs import (AssetRef, make_asset_ref, repository_refs,
                          resolve_asset_ref, walk_asset_refs)
-from evogen.runner import PRESET_NAMES, run
+from evogen.runner import PRESET_NAMES, RunConfig, run
 
 from conftest import build_repo, mix_config, random_structured_tree
+
+#: a CloneFeature-heavy mix; at seed 3 and 40 iterations its history commits
+#: every operation kind, and its CloneFeature and RemoveFeature commits clone,
+#: declare a slice, map twins and remove assets
+CLONE_FEATURE_MIX = {"removeFeature": 0.1, "mutAdd": 0.1, "transplant": 0.3,
+                     "cloneVariant": 0.1, "cloneFeature": 0.4}
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 100 for name in PRESET_NAMES}, "variants": 50}
@@ -83,11 +91,13 @@ def _three_mapped_repositories() -> AssetTree:
 
 
 def _count_path_to(monkeypatch) -> list:
+    """Patch ``AssetTree.path_to`` to append, per call, the name of the
+    function that called it."""
     calls = []
     search = AssetTree.path_to
 
     def counting(self, node):
-        calls.append(node)
+        calls.append(sys._getframe(1).f_code.co_name)
         return search(self, node)
     monkeypatch.setattr(AssetTree, "path_to", counting)
     return calls
@@ -108,3 +118,19 @@ def test_clone_variant_traces_search_once_per_side(monkeypatch):
     apply_clone_variant(tree, {"source": source, "new_name": "b_v1"}, "op1")
     assert len(calls) <= 2
     assert len(tree.traces.traces) == sum(1 for _ in tree.repositories[1].iter_nodes())
+
+
+def test_only_make_asset_ref_searches_the_tree(monkeypatch, oracle_corpus, tmp_path,
+                                               adapter):
+    system, donors = oracle_corpus
+    calls = _count_path_to(monkeypatch)
+    config = RunConfig(distribution=CLONE_FEATURE_MIX, max_iterations=40, seed=3)
+    run(config, system, donors, tmp_path / "out")
+    for _ in replay_history(tmp_path / "out", adapter):
+        pass
+    sub_ops = {(record["kind"], sub["kind"])
+               for record in read_ledger(tmp_path / "out") for sub in record["sub_ops"]}
+    assert {("CloneFeature", "CloneAsset"), ("CloneFeature", "AddMapping"),
+            ("CloneFeature", "UpdateManifest"), ("RemoveFeature", "RemoveAsset"),
+            ("TransplantFeature", "AddAsset")} <= sub_ops
+    assert calls and set(calls) == {make_asset_ref.__name__}

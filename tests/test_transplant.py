@@ -13,7 +13,7 @@ from evogen.refs import make_asset_ref
 from evogen.transplant import (apply_transplant_feature, extract_organ,
                                legal_insertion_points, load_donor)
 
-from conftest import write_donor, write_initial_system
+from conftest import structurally_equal, write_donor, write_initial_system
 
 
 class TestLoadDonor:
@@ -310,10 +310,21 @@ class TestIntegration:
         with pytest.raises(ForbiddenInsertionPoint):
             apply_transplant_feature(tree, bad, "opY", adapter=adapter)
 
+    def test_insertion_parent_with_an_index_path_forbidden(self, tmp_path, adapter):
+        # /calc#0 resolves to the repository's first child, a source file,
+        # but a file's ref is its filesystem path alone
+        tree, donor = self._system_tree(tmp_path, adapter)
+        params = self._transplant_params(tree, donor, adapter)
+        repo = tree.find_repository("calc")
+        assert repo.children[0].kind == m.FILE
+        assert repo.children[0].name != "project.manifest"
+        bad = dict(params, insertion_parent=f"{tree.revision}:/calc#0")
+        with pytest.raises(ForbiddenInsertionPoint):
+            apply_transplant_feature(tree, bad, "opX", adapter=adapter)
+
     def test_replay_from_params_is_identical(self, tmp_path, adapter):
         """The recorded params alone (organ dump included) reproduce the
         post-state on a fresh tree without donor access."""
-        from evogen.model import structurally_equal
         tree, donor = self._system_tree(tmp_path, adapter)
         params = self._transplant_params(tree, donor, adapter)
         fresh = tree.clone()
