@@ -109,7 +109,7 @@ def stats(out_dir, long_format, output):
 @main.command()
 @click.argument("out_dir", type=click.Path(exists=True))
 def validate(out_dir):
-    """Check replay fidelity, ref resolvability and per-snapshot compilability."""
+    """Check every record, snapshot and trace against the replay, and compilability."""
     report = validate_history(Path(out_dir), MinilangAdapter())
     report_path = Path(out_dir) / "validation.json"
     report_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=1)

@@ -20,6 +20,12 @@ map: ``_tree_files`` renders it, ``_read_snapshot`` reads it from a directory
 (seed, donor, stored snapshot), ``_build_tree`` parses and ``_write_tree``
 writes it.
 
+The ledger has one replay path, ``replay_records``, behind validate, stats
+and replay: it executes each record on the previous revision and requires the
+record the execution returns to equal the stored one, so every sub-operation
+and every ref it names is checked exactly.  Stored traces are checked the same
+way: validate compares them in full with the replayed ones.
+
 The feature state has one encoder too: ``feature_state`` joins the
 repositories' fragments into the bytes of ``features/NNNN.json``, which
 generate writes and validate compares with the stored file byte for byte.  A
@@ -45,8 +51,7 @@ from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
 from .operations import execute
 # make_asset_ref is unused here, but perfbench/tracer.py patches
 # history.make_asset_ref, so the binding stays until the benchmark drops it
-from .refs import (AssetRef, FeatureRef, make_asset_ref, repository_refs,  # noqa: F401
-                   resolve_asset_ref, resolve_feature_ref)
+from .refs import make_asset_ref, repository_refs  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -344,8 +349,9 @@ def _require_keys(lines: list[dict], keys: tuple[str, ...], what: str) -> None:
 
 
 def _shape_problem(record: dict, where: str = "") -> Optional[str]:
-    """Why `_ref_fields` cannot read a ledger record, or None: its `params`
-    must be an object and its `sub_ops` a list of records of the same shape."""
+    """Why a ledger record is not of the shape ``append_ledger`` writes, or
+    None: its `params` must be an object and its `sub_ops` a list of records
+    of the same shape."""
     if not isinstance(record.get("params", {}), dict):
         return f"{where}params is not an object"
     subs = record.get("sub_ops", [])
@@ -361,7 +367,7 @@ def _shape_problem(record: dict, where: str = "") -> Optional[str]:
 def read_ledger(out_dir: Path) -> list[dict]:
     """The ledger's records, in commit order.  Raises ReplayDivergence at the
     first line that does not parse, lacks one of LEDGER_KEYS or is not of
-    the shape ``_ref_fields`` reads."""
+    the shape ``_shape_problem`` requires."""
     records = _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
     _require_keys(records, LEDGER_KEYS, "ledger")
     for i, record in enumerate(records):
@@ -381,17 +387,23 @@ _MALFORMED_PARAMS = (LookupError, TypeError, ValueError, AttributeError)
 def replay_records(tree: AssetTree, records: list[dict],
                    adapter) -> Iterator[tuple[int, AssetTree]]:
     """Execute the ledger's records on the revision-0 tree, in place,
-    yielding every revision from 0."""
+    yielding every revision from 0.  Raises ReplayDivergence unless each
+    stored record equals the record its execution returns, as
+    ``append_ledger`` writes it: revisions, parameters and sub-operations."""
     yield 0, tree
-    for i, record in enumerate(records):
+    for i, stored in enumerate(records):
         try:
-            execute(tree, record["kind"], record["params"], record["op_id"],
-                    adapter=adapter)
+            record = execute(tree, stored["kind"], stored["params"],
+                             stored["op_id"], adapter=adapter)
         except (EvogenError, *_MALFORMED_PARAMS) as exc:
             raise ReplayDivergence(i, f"{type(exc).__name__}: {exc}") from exc
+        replayed = {"schema": SCHEMA_VERSION} | record.to_dict()
+        if replayed != stored:
+            keys = sorted(k for k in replayed.keys() | stored.keys()
+                          if replayed.get(k) != stored.get(k))
+            raise ReplayDivergence(
+                i, f"record differs from its replay in {', '.join(keys)}")
         tree.revision += 1
-        if tree.revision != record["revision_after"]:
-            raise ReplayDivergence(i, "revision counter mismatch")
         yield tree.revision, tree
 
 
@@ -418,63 +430,11 @@ class ValidationReport:
         return {"ok": self.ok, "violations": self.violations}
 
 
-def _ref_fields(record: dict) -> Iterator[tuple[str, str]]:
-    params = record.get("params", {})
-    for key in ("target", "source", "asset", "insertion_parent"):
-        if key in params and isinstance(params[key], str):
-            yield key, params[key]
-    for key in ("feature", "target_parent"):
-        if key in params and isinstance(params[key], str) and "!" in params[key]:
-            yield key, params[key]
-    for sub in record.get("sub_ops", []):
-        yield from _ref_fields(sub)
-
-
-def _parse_asset_ref(text) -> Optional[AssetRef]:
-    try:
-        return AssetRef.from_text(text) if isinstance(text, str) else None
-    except ValueError:
-        return None
-
-
-def _ref_checks(records: list[dict], trace_lines: list[dict],
-                report: ValidationReport) -> dict[int, list[tuple]]:
-    """Every ref the traces and the ledger name, keyed by the revision it must
-    resolve at, as (resolver, ref, where, message) in report order.  A ref
-    that does not parse is reported here as a ref-resolution violation."""
-    checks: dict[int, list[tuple]] = {}
-    for line in trace_lines:
-        for key in ("source", "target"):
-            ref = _parse_asset_ref(line[key])
-            if ref is None:
-                report.add("ref-resolution", str(line["op"]),
-                           f"trace {key} {line[key]!r} does not parse")
-                continue
-            checks.setdefault(ref.revision, []).append(
-                (resolve_asset_ref, ref, line["op"],
-                 f"trace {key} {line[key]} does not resolve"))
-    for record in records:
-        for key, text in _ref_fields(record):
-            if "!" not in text:
-                ref = _parse_asset_ref(text)
-                if ref is None:
-                    report.add("ref-resolution", str(record["op_id"]),
-                               f"{key} {text!r} does not parse")
-                    continue
-                revision, resolve = ref.revision, resolve_asset_ref
-            elif record["kind"] == "RemoveFeature" or key == "feature":
-                continue  # feature may be gone after its own removal
-            else:
-                ref = FeatureRef.from_text(text)
-                revision, resolve = record["revision_before"], resolve_feature_ref
-            checks.setdefault(revision, []).append(
-                (resolve, ref, record["op_id"], f"{key} {text} does not resolve"))
-    return checks
-
-
 def validate_history(out_dir: Path, adapter) -> ValidationReport:
-    """Cross-check replay fidelity, ref resolvability, compilability and
-    trace/mapping consistency of a generated history in one replay pass."""
+    """Cross-check a generated history in one replay pass: each ledger
+    record against its replay, each snapshot and feature state against the
+    replayed tree, each snapshot's compilability, and the stored traces
+    against the replayed ones."""
     from .minilang import check_snapshot_dir
     out_dir = Path(out_dir)
     report = ValidationReport()
@@ -526,17 +486,11 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     except ReplayDivergence as exc:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
-    checks = _ref_checks(records, stored_traces, report)
     inodes: Inodes = {}
     files = _read_snapshot(revisions_dir / "0000", inodes=inodes)
 
     try:
         for revision, tree in replay_records(_build_tree(files), records, adapter):
-            for resolve, ref, where, message in checks.pop(revision, ()):
-                try:
-                    resolve(tree, ref)
-                except EvogenError:
-                    report.add("ref-resolution", where, message)
             snap = revisions_dir / f"{revision:04d}"
             if revision:  # revision 0 was read above
                 if not snap.is_dir():

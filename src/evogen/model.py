@@ -82,6 +82,10 @@ class FeatureModel:
         walk(self.root, ())
         return out
 
+    def paths_under(self, path: tuple[str, ...]) -> set[tuple[str, ...]]:
+        """The full paths of the feature at `path` and of its descendants."""
+        return {p for p in self.paths() if p[:len(path)] == path}
+
     def remove(self, path: tuple[str, ...]) -> Feature:
         """Detach the feature at `path` (and with it its subtree)."""
         if len(path) < 2:
@@ -227,8 +231,7 @@ def feature_exclusive_assets(repo: AssetNode,
     descendants (and mapped to at least one of them)."""
     if repo.feature_model is None or repo.feature_model.find(feature_path) is None:
         raise UnknownFeature("/".join(feature_path))
-    removed = {p for p in repo.feature_model.paths()
-               if p[:len(feature_path)] == feature_path}
+    removed = repo.feature_model.paths_under(feature_path)
     out = []
     for node in repo.iter_nodes():
         if node.mapped_features and node.mapped_features <= removed:

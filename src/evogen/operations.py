@@ -97,13 +97,13 @@ def update_manifest_asset(tree: AssetTree, repo: AssetNode, adapter,
         "content": new_lines})
 
 
-def _record_subtree_traces(tree: AssetTree, source: AssetNode, target: AssetNode,
-                           op_id: str, rev_after: int) -> None:
-    """One trace for the pair plus one per corresponding descendant."""
+def _record_subtree_traces(tree: AssetTree, source: AssetNode, source_ref: AssetRef,
+                           target: AssetNode, target_ref: AssetRef, op_id: str) -> None:
+    """One trace for the pair, whose refs the caller holds, plus one per
+    corresponding descendant."""
     src_refs, tgt_refs = (
-        {n.node_id: ref.to_text() for n, ref in walk_asset_refs(
-            top, make_asset_ref(tree, top).at_revision(rev_after))}
-        for top in (source, target))
+        {n.node_id: ref.to_text() for n, ref in walk_asset_refs(top, top_ref)}
+        for top, top_ref in ((source, source_ref), (target, target_ref)))
     pairs = [(source, target)]
     for src, tgt in pairs:  # breadth first: the loop reaches pairs it appends
         tree.traces.add(CloneTrace(op_id, src_refs[src.node_id],
@@ -126,8 +126,7 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
     if feature is repo.feature_model.root:
         raise CannotRemoveRoot(feature.name)
 
-    removed_paths = {p for p in repo.feature_model.paths()
-                     if p[:len(feature_path)] == feature_path}
+    removed_paths = repo.feature_model.paths_under(feature_path)
     exclusive_ids = {a.node_id for a in model.feature_exclusive_assets(repo, feature_path)}
     _remove_children(repo, f"/{repo.name}", (), exclusive_ids, record)
 
@@ -205,7 +204,8 @@ def apply_clone_variant(tree: AssetTree, params: dict, op_id: str,
     clone = tree.deep_copy_node(source)
     clone.name = new_name
     tree.root.children.append(clone)
-    _record_subtree_traces(tree, source, clone, op_id, rev_after)
+    _record_subtree_traces(tree, source, AssetRef(rev_after, f"/{source.name}"),
+                           clone, AssetRef(rev_after, f"/{new_name}"), op_id)
     return record
 
 
@@ -224,9 +224,12 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     assert src_repo.feature_model is not None and tgt_repo.feature_model is not None
 
     feature_ref = FeatureRef.from_text(params["feature"])
+    parent_ref = FeatureRef.from_text(params["target_parent"])
+    for side, owner in ((feature_ref, src_repo), (parent_ref, tgt_repo)):
+        if side.repo_path != f"/{owner.name}":
+            raise EvogenError(f"{side.to_text()} is not a feature of {owner.name}")
     feature_path = lpq_to_full_path(src_repo.feature_model, feature_ref.lpq)
     feature = src_repo.feature_model.find(feature_path)
-    parent_ref = FeatureRef.from_text(params["target_parent"])
     parent_path = lpq_to_full_path(tgt_repo.feature_model, parent_ref.lpq)
     parent_feature = tgt_repo.feature_model.find(parent_path)
     if parent_feature.child(feature.name) is not None or any(
@@ -240,8 +243,7 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     def translate(path: tuple[str, ...]) -> tuple[str, ...]:
         return target_feature_path + path[len(feature_path):]
 
-    cloned_paths = {p for p in src_repo.feature_model.paths()
-                    if p[:len(feature_path)] == feature_path}
+    cloned_paths = src_repo.feature_model.paths_under(feature_path)
     plan: dict = params.get("plan") or {}
     new_slice_dirs: list[str] = []
 
@@ -281,8 +283,9 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
             node.mapped_features = set()
         clone.mapped_features = set(mapped_paths)
         tgt_parent.children.insert(index, clone)
-        _record_subtree_traces(tree, asset, clone, op_id, rev_after)
         target = make_asset_ref(tree, clone).at_revision(rev_after)
+        _record_subtree_traces(tree, asset, ref.at_revision(rev_after),
+                               clone, target, op_id)
         record.add_sub("CloneAsset", {
             "source": src_ref,
             "target": target.to_text(),
@@ -339,10 +342,13 @@ def _declare_slices(tree: AssetTree, src_repo: AssetNode, tgt_repo: AssetNode,
                 clone = tree.deep_copy_node(src_mani)
                 clone.mapped_features = set()
                 tgt_slice.children.append(clone)
-                _record_subtree_traces(tree, src_mani, clone, op_id, rev_after)
+                source = make_asset_ref(tree, src_mani)
+                target = make_asset_ref(tree, clone).at_revision(rev_after)
+                _record_subtree_traces(tree, src_mani, source.at_revision(rev_after),
+                                       clone, target, op_id)
                 record.add_sub("CloneAsset", {
-                    "source": make_asset_ref(tree, src_mani).to_text(),
-                    "target": make_asset_ref(tree, clone).at_revision(rev_after).to_text(),
+                    "source": source.to_text(),
+                    "target": target.to_text(),
                     "index": len(tgt_slice.children) - 1,
                     "features": []})
     if missing:

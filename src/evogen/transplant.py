@@ -261,14 +261,11 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
             for sub in node.iter_nodes():
                 sub.mapped_features = set()
             folder.children.append(node)
-            tree.traces.add(CloneTrace(
-                op_id,
-                make_asset_ref(tree, twin).to_text(),
-                make_asset_ref(tree, node).at_revision(rev_after).to_text(),
-                twin.node_id, node.node_id))
+            source = make_asset_ref(tree, twin).to_text()
+            target = make_asset_ref(tree, node).at_revision(rev_after).to_text()
+            tree.traces.add(CloneTrace(op_id, source, target, twin.node_id, node.node_id))
             record.add_sub("CloneAsset", {
-                "source": make_asset_ref(tree, twin).to_text(),
-                "target": make_asset_ref(tree, node).at_revision(rev_after).to_text(),
+                "source": source, "target": target,
                 "index": len(folder.children) - 1, "features": []})
         else:
             node = tree.new_node(FILE, segments[-1], content=list(lines))

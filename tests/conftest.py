@@ -103,6 +103,13 @@ VARIANTS_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
                 "cloneFeature": 0.12}
 
 
+#: a CloneFeature-heavy mix; at seed 3 and 40 iterations its history commits
+#: every operation kind, and its CloneFeature and RemoveFeature commits clone,
+#: declare a slice, map twins and remove assets
+CLONE_FEATURE_MIX = {"removeFeature": 0.1, "mutAdd": 0.1, "transplant": 0.3,
+                     "cloneVariant": 0.1, "cloneFeature": 0.4}
+
+
 def mix_config(mix: str, iterations: int) -> RunConfig:
     """A run of `iterations` at seed 1 with a shipped preset or, for
     ``"variants"``, the variants mix."""
@@ -231,3 +238,69 @@ def reference_feature_state(tree: AssetTree) -> bytes:
             "mappings": mappings}
     state = {"schema": SCHEMA_VERSION, "revision": tree.revision, "repos": repos}
     return (json.dumps(state, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+# -- ledger tampers ----------------------------------------------------------
+# Each changes one ledger record so that every ref it names still resolves;
+# only a replay that compares the record it yields with the stored one sees
+# it.  Each returns the index of the record it changed.
+
+def _first_sub_op(records: list[dict], kind: str, accept=lambda params: True):
+    return next((i, sub) for i, record in enumerate(records)
+                for sub in record["sub_ops"]
+                if sub["kind"] == kind and accept(sub["params"]))
+
+
+def _map_main_file(records: list[dict]) -> int:
+    i, sub = _first_sub_op(records, "AddMapping",
+                           lambda p: not p["asset"].endswith(":/calc/main.mini"))
+    sub["params"]["asset"] = f"{sub['revision_after']}:/calc/main.mini"
+    return i
+
+
+def _clone_at_zero(records: list[dict]) -> int:
+    i, sub = _first_sub_op(records, "CloneAsset", lambda p: p["index"] != 0)
+    sub["params"]["index"] = 0
+    return i
+
+
+def _rename_added_asset(records: list[dict]) -> int:
+    i, sub = _first_sub_op(records, "AddAsset")
+    sub["params"]["name"] += "_renamed"
+    return i
+
+
+def _drop_removal_sub_op(records: list[dict]) -> int:
+    i, record = next((i, r) for i, r in enumerate(records)
+                     if r["kind"] == "RemoveFeature" and r["sub_ops"])
+    record["sub_ops"].pop()
+    return i
+
+
+def _parent_in_source_repo(records: list[dict]) -> int:
+    i, record = next((i, r) for i, r in enumerate(records)
+                     if r["kind"] == "CloneFeature")
+    params = record["params"]
+    lpq = params["target_parent"].partition("!")[2]
+    params["target_parent"] = f"/{params['source_repo']}!{lpq}"
+    return i
+
+
+TAMPERS = {
+    "AddMapping asset is /calc/main.mini": _map_main_file,
+    "CloneAsset index set to 0": _clone_at_zero,
+    "AddAsset name changed": _rename_added_asset,
+    "RemoveFeature sub-op dropped": _drop_removal_sub_op,
+    "CloneFeature target_parent names the source repository": _parent_in_source_repo,
+}
+
+
+def tamper_ledger(out: Path, name: str) -> int:
+    """Apply ``TAMPERS[name]`` to the ledger of the history at `out`, in
+    ``append_ledger``'s line format; return the index of the changed record."""
+    ledger = out / "ledger.ndjson"
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    index = TAMPERS[name](records)
+    ledger.write_text("".join(json.dumps(record, sort_keys=True, separators=(",", ":"))
+                              + "\n" for record in records))
+    return index

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from evogen.cli import main
 from evogen.history import LEDGER_KEYS
 
-from conftest import write_donor, write_initial_system
+from conftest import tamper_ledger, write_donor, write_initial_system
 
 
 @pytest.fixture
@@ -295,18 +295,23 @@ class TestValidate:
              f"replay diverged at record {count}: trace line lacks {key}")]
 
     def test_unparsable_trace_ref_is_a_ref_violation(self, runner, tmp_path):
+        """A stored trace the replay does not yield is a trace violation."""
         _, out = generate_history(runner, tmp_path)
-        with open(out / "traces.ndjson", "a") as fh:
+        traces = out / "traces.ndjson"
+        count = len(traces.read_text().splitlines()) if traces.is_file() else 0
+        with open(traces, "a") as fh:
             fh.write(json.dumps({"schema": 1, "op": "op0001", "source": "x",
                                  "target": "1:/calc", "source_node": 1,
                                  "target_node": 2}) + "\n")
         result = runner.invoke(main, ["validate", str(out)])
         assert result.exit_code == 1
         report = json.loads((out / "validation.json").read_text())
-        assert {"kind": "ref-resolution", "where": "op0001",
-                "message": "trace source 'x' does not parse"} in report["violations"]
+        assert report["violations"] == [{
+            "kind": "trace-consistency", "where": "traces.ndjson",
+            "message": f"stored {count + 1} traces, replay yields {count}"}]
 
     def test_unparsable_ledger_ref_is_a_ref_violation(self, runner, tmp_path):
+        """A ledger ref that does not parse stops the replay at its record."""
         _, out = generate_history(runner, tmp_path)
         ledger = out / "ledger.ndjson"
         lines = ledger.read_text().splitlines()
@@ -317,9 +322,10 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(out)])
         assert result.exit_code == 1
         report = json.loads((out / "validation.json").read_text())
-        assert {"kind": "ref-resolution", "where": record["op_id"],
-                "message": "target 'junk' does not parse"} in report["violations"]
-        assert {v["kind"] for v in report["violations"]} == {"ref-resolution", "replay"}
+        assert [(v["kind"], v["where"]) for v in report["violations"]] == [
+            ("replay", "ledger.ndjson")]
+        assert report["violations"][0]["message"].startswith(
+            "replay diverged at record 0: ValueError")
 
     @pytest.mark.parametrize("params", [[], "target", 7, None])
     def test_ledger_params_not_an_object_is_a_ledger_violation(self, runner,
@@ -410,7 +416,8 @@ class TestReplay:
         ledger.write_text("\n".join(lines) + "\n")
         result = runner.invoke(main, ["replay", str(out)])
         assert result.exit_code == 1
-        assert "revision counter mismatch" in result.output
+        assert ("replay diverged at record 0:"
+                " record differs from its replay in revision_after") in result.output
 
     def test_empty_revisions_exit_one(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)
@@ -493,6 +500,20 @@ class TestBrokenInputEndsWithoutTraceback:
         message = f"replay diverged at record 0: ledger line lacks {key}"
         assert validate.exit_code == 1
         assert violations == [{"kind": "ledger", "where": "ledger.ndjson",
+                               "message": message}]
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for result in (stats, replay):
+            assert isinstance(result.exception, SystemExit)
+            assert message in result.output
+
+    def test_sub_op_its_replay_does_not_yield(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        index = tamper_ledger(out, "AddMapping asset is /calc/main.mini")
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        message = (f"replay diverged at record {index}:"
+                   " record differs from its replay in sub_ops")
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "replay", "where": "ledger.ndjson",
                                "message": message}]
         assert (stats.exit_code, replay.exit_code) == (4, 1)
         for result in (stats, replay):

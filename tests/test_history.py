@@ -21,8 +21,9 @@ from evogen.model import FOLDER, AssetTree, Feature
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
-from conftest import (build_repo, random_fs_tree, reference_feature_state,
-                      write_donor, write_initial_system)
+from conftest import (CLONE_FEATURE_MIX, TAMPERS, build_repo, random_fs_tree,
+                      reference_feature_state, tamper_ledger, write_donor,
+                      write_initial_system)
 
 
 @pytest.fixture
@@ -176,6 +177,7 @@ class TestValidate:
         assert any(v["kind"] == "trace-consistency" for v in report.violations)
 
     def test_dangling_trace_ref_detected(self, history, adapter):
+        """A stored trace must equal the replayed one, refs included."""
         traces = history / "traces.ndjson"
         lines = traces.read_text().splitlines()
         assert lines, "run produced no traces"
@@ -185,11 +187,9 @@ class TestValidate:
         lines[0] = json.dumps(line, sort_keys=True, separators=(",", ":"))
         traces.write_text("\n".join(lines) + "\n")
         report = validate_history(history, adapter)
-        kinds = {v["kind"] for v in report.violations}
-        assert {"trace-consistency", "ref-resolution"} <= kinds
-        assert {"kind": "ref-resolution", "where": line["op"],
-                "message": f"trace source {line['source']} does not resolve"} \
-            in report.violations
+        assert report.violations == [{
+            "kind": "trace-consistency", "where": "traces.ndjson",
+            "message": f"stored {len(lines)} traces, replay yields {len(lines)}"}]
 
     def test_validates_without_tree_copies_or_temp_dirs(self, history, adapter,
                                                          monkeypatch):
@@ -270,6 +270,45 @@ class TestValidate:
         report = validate_history(history, adapter)
         kinds = {v["kind"] for v in report.violations}
         assert "compilability" in kinds
+
+
+@pytest.fixture(scope="module")
+def clone_feature_history(oracle_corpus, tmp_path_factory):
+    """A history with AddMapping, CloneAsset, AddAsset and RemoveFeature
+    sub-operations and CloneFeature records for the ledger tampers."""
+    system, donors = oracle_corpus
+    out = tmp_path_factory.mktemp("clone_feature") / "out"
+    run(RunConfig(distribution=CLONE_FEATURE_MIX, max_iterations=40, seed=3),
+        system, donors, out)
+    return out
+
+
+class TestLedgerTampers:
+    """Every ledger record must equal the record its replay yields; each
+    tamper leaves every ref resolvable, so nothing else sees it."""
+
+    #: what replay says of each tamper of this history
+    MESSAGES = {
+        "AddMapping asset is /calc/main.mini": "record differs from its replay in sub_ops",
+        "CloneAsset index set to 0": "record differs from its replay in sub_ops",
+        "AddAsset name changed": "record differs from its replay in sub_ops",
+        "RemoveFeature sub-op dropped": "record differs from its replay in sub_ops",
+        "CloneFeature target_parent names the source repository":
+            "EvogenError: /calc_v2!calc is not a feature of calc_v2_v1",
+    }
+
+    def test_untampered_history_validates(self, clone_feature_history, adapter):
+        assert validate_history(clone_feature_history, adapter).ok
+
+    @pytest.mark.parametrize("name", TAMPERS)
+    def test_tampered_record_is_a_replay_violation(self, clone_feature_history,
+                                                   adapter, tmp_path, name):
+        out = tmp_path / "out"
+        shutil.copytree(clone_feature_history, out)
+        index = tamper_ledger(out, name)
+        assert validate_history(out, adapter).violations == [
+            {"kind": "replay", "where": "ledger.ndjson",
+             "message": f"replay diverged at record {index}: {self.MESSAGES[name]}"}]
 
 
 def _files(root: Path) -> dict[str, bytes]:

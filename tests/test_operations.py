@@ -4,7 +4,7 @@ import pytest
 
 from evogen import model as m
 from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
-                           DuplicateRepository, NotMutable,
+                           DuplicateRepository, EvogenError, NotMutable,
                            UnrelatedRepositories)
 from evogen.history import materialize_tree
 from evogen.minilang import MinilangAdapter, check_tree
@@ -13,7 +13,7 @@ from evogen.operations import (Committed, RolledBack,
                                apply_clone_feature, apply_clone_variant,
                                apply_mutate_asset, apply_remove_feature,
                                execute, run_in_transaction)
-from evogen.refs import make_asset_ref, make_feature_ref
+from evogen.refs import FeatureRef, make_asset_ref, make_feature_ref
 
 from conftest import build_repo, structurally_equal
 
@@ -199,6 +199,23 @@ class TestCloneFeature:
             apply_clone_feature(tree, {
                 "source_repo": "r1", "target_repo": "r2",
                 "feature": src.to_text(), "target_parent": tgt.to_text()}, "op")
+
+    @pytest.mark.parametrize("key", ["feature", "target_parent"])
+    def test_feature_ref_of_another_repository_raises(self, key):
+        tree, r1, r2 = self._variant_pair()
+        ref = make_feature_ref(tree, r2, r2.feature_model.find(("r", "F")))
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        params = {"source_repo": "r", "target_repo": "r2",
+                  "feature": make_feature_ref(tree, r1, r1.feature_model.find(
+                      ("r", "F"))).to_text(),
+                  "target_parent": make_feature_ref(
+                      tree, r2, r2.feature_model.root).to_text()}
+        # the same LPQ, in the other repository of the pair
+        other = {"feature": r2, "target_parent": r1}[key]
+        params[key] = FeatureRef(f"/{other.name}",
+                                 FeatureRef.from_text(params[key]).lpq).to_text()
+        with pytest.raises(EvogenError, match="is not a feature of"):
+            apply_clone_feature(tree, params, "op3")
 
     def test_default_integration_index_after_traced_predecessor(self):
         tree, r1, r2 = self._variant_pair()

@@ -21,13 +21,8 @@ from evogen.refs import (AssetRef, make_asset_ref, repository_refs,
                          resolve_asset_ref, walk_asset_refs)
 from evogen.runner import PRESET_NAMES, RunConfig, run
 
-from conftest import build_repo, mix_config, random_structured_tree
-
-#: a CloneFeature-heavy mix; at seed 3 and 40 iterations its history commits
-#: every operation kind, and its CloneFeature and RemoveFeature commits clone,
-#: declare a slice, map twins and remove assets
-CLONE_FEATURE_MIX = {"removeFeature": 0.1, "mutAdd": 0.1, "transplant": 0.3,
-                     "cloneVariant": 0.1, "cloneFeature": 0.4}
+from conftest import (CLONE_FEATURE_MIX, build_repo, mix_config,
+                      random_structured_tree)
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 100 for name in PRESET_NAMES}, "variants": 50}
