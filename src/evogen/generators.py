@@ -119,7 +119,7 @@ def gen_transplant(tree: AssetTree, rng: random.Random,
     donor_id, cand = pool[rng.randrange(len(pool))]
     repos = tree.repositories
     repo = repos[rng.randrange(len(repos))]
-    points = legal_insertion_points(tree, repo, ctx.adapter)
+    points = legal_insertion_points(repo, ctx.adapter)
     if not points:
         return None
     target, idx = points[rng.randrange(len(points))]
@@ -134,7 +134,7 @@ def gen_transplant(tree: AssetTree, rng: random.Random,
         "donor": donor_id,
         "test_id": cand.id,
         "test_name": cand.name,
-        "insertion_parent": make_asset_ref(tree, target).to_text(),
+        "insertion_parent": AssetRef(tree.revision, "/" + target).to_text(),
         "insertion_index": idx,
         "organ": organ.to_params(),
     })

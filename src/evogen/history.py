@@ -24,7 +24,8 @@ The ledger has one replay path, ``replay_records``, behind validate, stats
 and replay: it executes each record on the previous revision and requires the
 record the execution returns to equal the stored one, so every sub-operation
 and every ref it names is checked exactly.  Stored traces are checked the same
-way: validate compares them in full with the replayed ones.
+way: validate compares them in full with the replayed ones and names the first
+line that differs.
 
 The feature state has one encoder too: ``feature_state`` joins the
 repositories' fragments into the bytes of ``features/NNNN.json``, which
@@ -379,6 +380,12 @@ def read_ledger(out_dir: Path) -> list[dict]:
 
 # -- replay ------------------------------------------------------------------
 
+def _differing_keys(stored: dict, replayed: dict) -> str:
+    """The keys whose values differ between two lines, sorted and joined."""
+    return ", ".join(sorted(k for k in replayed.keys() | stored.keys()
+                            if replayed.get(k) != stored.get(k)))
+
+
 #: what an operation raises on ledger params of the wrong shape or type, such
 #: as a ref that does not parse; replay reports them as a divergence
 _MALFORMED_PARAMS = (LookupError, TypeError, ValueError, AttributeError)
@@ -399,10 +406,8 @@ def replay_records(tree: AssetTree, records: list[dict],
             raise ReplayDivergence(i, f"{type(exc).__name__}: {exc}") from exc
         replayed = {"schema": SCHEMA_VERSION} | record.to_dict()
         if replayed != stored:
-            keys = sorted(k for k in replayed.keys() | stored.keys()
-                          if replayed.get(k) != stored.get(k))
             raise ReplayDivergence(
-                i, f"record differs from its replay in {', '.join(keys)}")
+                i, f"record differs from its replay in {_differing_keys(stored, replayed)}")
         tree.revision += 1
         yield tree.revision, tree
 
@@ -524,7 +529,12 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         return report
 
     replayed = [_trace_line(t) for t in tree.traces.traces]
-    if stored_traces != replayed:
+    for i, (stored, line) in enumerate(zip(stored_traces, replayed)):
+        if stored != line:
+            report.add("trace-consistency", "traces.ndjson", f"trace line {i}"
+                       f" differs from its replay in {_differing_keys(stored, line)}")
+            return report
+    if len(stored_traces) != len(replayed):
         report.add("trace-consistency", "traces.ndjson",
                    f"stored {len(stored_traces)} traces, replay yields {len(replayed)}")
     return report

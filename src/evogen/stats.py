@@ -1,5 +1,9 @@
 """Metric series over a generated history: feature counts and LoC per variant.
 
+A variant's LoC is the line breaks of its repository's kept render
+(``history._repo_files``), so a replayed revision renders only the
+repositories its operation owned.
+
 Two features in different repositories count as one distinct feature when
 they share a clone lineage, i.e. both descend (by cloning) from the same
 introducing operation; the lineage tag travels with every feature copy.
@@ -10,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import model
 from .errors import EvogenError
-from .model import FILE, AssetTree
+from .history import _repo_files, replay_history
+from .model import AssetTree
 
 
 def _nonroot_features(tree: AssetTree):
@@ -33,11 +37,10 @@ def total_feature_count(tree: AssetTree) -> int:
 
 
 def loc_per_variant(tree: AssetTree) -> dict[str, int]:
-    out = {}
-    for repo in tree.repositories:
-        out[repo.name] = sum(model.file_line_count(n) for n in repo.iter_nodes()
-                             if n.kind == FILE)
-    return out
+    """Lines per repository: the line breaks of its kept render."""
+    return {repo.name: sum(data.count(b"\n") for data in _repo_files(repo).values()
+                           if data)
+            for repo in tree.repositories}
 
 
 def total_loc(tree: AssetTree) -> int:
@@ -81,7 +84,6 @@ def metric_row(tree: AssetTree) -> MetricRow:
 
 def compute_metrics(out_dir: Path, adapter) -> list[MetricRow]:
     """One row per committed revision, recovered by replaying the ledger."""
-    from .history import replay_history
     return [metric_row(tree) for _, tree in replay_history(Path(out_dir), adapter)]
 
 

@@ -15,9 +15,9 @@ from typing import Optional
 
 from . import model
 from .errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
-                     ManifestParseError, MissingDependency, NotModular,
-                     SliceConflict, SnapshotIoError, utf8_text)
-from .history import _read_snapshot
+                     MissingDependency, NotModular, SliceConflict,
+                     SnapshotIoError, utf8_text)
+from .history import _read_snapshot, _repo_files
 from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
@@ -44,7 +44,8 @@ def load_donor(path: Path, adapter) -> DonorProject:
                  if data is not None and adapter.is_source_file(rel.rpartition("/")[2])}
     except (OSError, SnapshotIoError) as exc:
         raise DonorIoError(str(exc)) from exc
-    donor_id = manifest.name or path.name
+    # a nameless donor goes by its directory's name, in its organs' manifests too
+    manifest.name = donor_id = manifest.name or path.name
 
     srcdir = manifest.extras.get("srcdir", "")
     testdir = manifest.extras.get("testdir", "")
@@ -172,8 +173,6 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
 
 def adapt_manifest(donor_manifest: ManifestModel, adapter) -> ManifestModel:
     """Keep only project name, external deps and local slice declarations."""
-    if not donor_manifest.name:
-        raise ManifestParseError("donor manifest without a name")
     return ManifestModel(name=donor_manifest.name,
                          deps=list(donor_manifest.deps),
                          slices=list(donor_manifest.slices))
@@ -181,23 +180,16 @@ def adapt_manifest(donor_manifest: ManifestModel, adapter) -> ManifestModel:
 
 # -- integration -------------------------------------------------------------
 
-def legal_insertion_points(tree: AssetTree, repo: AssetNode,
-                           adapter) -> list[tuple[AssetNode, int]]:
-    """(file, flat line index) pairs inside method-level blocks of the
-    initial-system portion of `repo` (slice directories excluded)."""
-    points: list[tuple[AssetNode, int]] = []
-    slices = repo.child_named(SLICES_DIR)
-    excluded = set()
-    if slices is not None:
-        excluded = {n.node_id for n in slices.iter_nodes()}
-    for node in repo.iter_nodes():
-        if node.kind != FILE or node.name == MANIFEST_NAME:
-            continue
-        if node.node_id in excluded:
-            continue
-        for idx in adapter.insertion_points(model.flatten_lines(node)):
-            points.append((node, idx))
-    return points
+def legal_insertion_points(repo: AssetNode, adapter) -> list[tuple[str, int]]:
+    """(file path, line index) pairs inside method-level blocks of the
+    initial-system portion of `repo`, read from its kept render in its order.
+    A path is the file's render path, ``<repo>/<folder>/.../<file>``;
+    manifests and everything at or under ``<repo>/slices`` are left out."""
+    slices = f"{repo.name}/{SLICES_DIR}/"
+    return [(path, idx) for path, data in _repo_files(repo).items()
+            if data and path.rpartition("/")[2] != MANIFEST_NAME
+            and not (path + "/").startswith(slices)
+            for idx in adapter.insertion_points(utf8_text(data, path).splitlines())]
 
 
 def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,

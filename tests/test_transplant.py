@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -6,10 +7,11 @@ import pytest
 from evogen import model as m
 from evogen.errors import (DonorIoError, ForbiddenInsertionPoint,
                            MissingDependency, NotModular)
-from evogen.history import materialize_tree, parse_initial_system
+from evogen.history import _repo_files, materialize_tree, parse_initial_system
 from evogen.minilang import check_snapshot_dir
 from evogen.model import BLOCK
-from evogen.refs import make_asset_ref
+from evogen.refs import AssetRef, make_asset_ref
+from evogen.runner import RunConfig, run
 from evogen.transplant import (apply_transplant_feature, extract_organ,
                                legal_insertion_points, load_donor)
 
@@ -167,12 +169,11 @@ class TestIntegration:
         cand = next(c for c in donor.test_candidates if c.name == test_name)
         organ = extract_organ(donor, cand.id, adapter)
         repo = tree.find_repository(repo_name)
-        points = legal_insertion_points(tree, repo, adapter)
-        parent, idx = points[0]
+        path, idx = legal_insertion_points(repo, adapter)[0]
         return {
             "repo": repo_name, "donor": donor.id, "test_id": cand.id,
             "test_name": cand.name,
-            "insertion_parent": make_asset_ref(tree, parent).to_text(),
+            "insertion_parent": AssetRef(tree.revision, "/" + path).to_text(),
             "insertion_index": idx, "organ": organ.to_params(),
         }
 
@@ -180,16 +181,19 @@ class TestIntegration:
             self, tmp_path, adapter):
         tree, donor = self._system_tree(tmp_path, adapter)
         repo = tree.find_repository("calc")
-        points = legal_insertion_points(tree, repo, adapter)
+        points = legal_insertion_points(repo, adapter)
         # main.mini has two defs, util.mini one
         assert len(points) == 3
-        assert all(p[0].name != "project.manifest" for p in points)
+        assert not any(path.endswith("project.manifest") for path, _ in points)
         params = self._transplant_params(tree, donor, adapter)
         apply_transplant_feature(tree, params, "op1", adapter=adapter)
         tree.revision += 1
-        after = legal_insertion_points(tree, repo, adapter)
-        assert all(
-            "slices" not in [a.name for a in tree.path_to(p[0])] for p in after)
+        repo = tree.find_repository("calc")
+        assert any(rel.startswith("calc/slices/") and data
+                   for rel, data in _repo_files(repo).items())
+        after = legal_insertion_points(repo, adapter)
+        assert after
+        assert not any(path.startswith("calc/slices/") for path, _ in after)
 
     def test_transplant_creates_blocks_slice_and_mapping(self, tmp_path, adapter):
         tree, donor = self._system_tree(tmp_path, adapter)
@@ -334,3 +338,21 @@ class TestIntegration:
         apply_transplant_feature(fresh, params, "op1", adapter=adapter)
         fresh.revision += 1
         assert structurally_equal(tree.root, fresh.root)
+
+    def test_nameless_donor_transplants_under_its_directory_name(self, tmp_path):
+        """A donor manifest without a `name:` line still gives transplants;
+        the slice's adapted manifest is named after the donor directory."""
+        system = write_initial_system(tmp_path / "in")
+        donor_dir = write_donor(tmp_path / "donors", "anon")
+        manifest = donor_dir / "project.manifest"
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("name:")))
+        out = tmp_path / "out"
+        run(RunConfig(distribution={"transplant": 1.0}, max_iterations=3, seed=1),
+            system, [donor_dir], out)
+        ledger = [json.loads(line) for line in (out / "ledger.ndjson").read_text().splitlines()]
+        assert ledger and ledger[0]["kind"] == "TransplantFeature"
+        assert ledger[0]["params"]["donor"] == "anon"
+        slice_manifest = (out / "revisions" / "0001" / "calc" / "slices" / "anon"
+                          / "project.manifest").read_text()
+        assert slice_manifest.splitlines()[0] == "name: anon"
