@@ -53,7 +53,7 @@ def gen_remove_feature(tree: AssetTree, rng: random.Random,
     if not pool:
         return None
     repo, feature = pool[rng.randrange(len(pool))]
-    ref = make_feature_ref(tree, repo, feature)
+    ref = make_feature_ref(repo, feature)
     return CandidateOperation("RemoveFeature", {"feature": ref.to_text()})
 
 
@@ -193,8 +193,8 @@ def gen_clone_feature(tree: AssetTree, rng: random.Random,
     return CandidateOperation("CloneFeature", {
         "source_repo": src.name,
         "target_repo": tgt.name,
-        "feature": make_feature_ref(tree, src, feature).to_text(),
-        "target_parent": make_feature_ref(tree, tgt, tgt.feature_model.root).to_text(),
+        "feature": make_feature_ref(src, feature).to_text(),
+        "target_parent": make_feature_ref(tgt, tgt.feature_model.root).to_text(),
         "plan": {},
     })
 

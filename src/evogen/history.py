@@ -17,8 +17,8 @@ directories.
 
 Snapshots, files and folders alike, have one in-memory form, the ``Snapshot``
 map: ``_tree_files`` renders it, ``_read_snapshot`` reads it from a directory
-(seed, donor, stored snapshot), ``_build_tree`` parses and ``_write_tree``
-writes it.
+(seed, donor, stored snapshot) and refuses links and special files below it,
+``_build_tree`` parses and ``_write_tree`` writes it.
 
 The ledger has one replay path, ``replay_records``, behind validate, stats
 and replay: it executes each record on the previous revision and requires the
@@ -78,7 +78,8 @@ def _read_snapshot(root: Path, prefix: str = "",
                    inodes: Optional[Inodes] = None) -> Snapshot:
     """A directory read into memory with one walk, siblings in name order,
     each path led by `prefix`: the one reader of seed systems, donors and
-    stored snapshots.
+    stored snapshots.  `root` may be a link; an entry below it that is not a
+    regular file or directory, or an OSError, raises SnapshotIoError.
 
     `inodes` carries the files of one stored snapshot's read to the next.  A
     file whose device and inode, from one ``stat`` of the file its path
@@ -86,19 +87,21 @@ def _read_snapshot(root: Path, prefix: str = "",
     without being opened: two files that exist at once have one device and
     inode only when they are one file.  On return, `inodes` holds this
     read's files and no others."""
-    if not root.is_dir():
-        raise SnapshotIoError(f"not a directory: {root}")
     inodes = {} if inodes is None else inodes
     files: Snapshot = {}
     seen: Inodes = {}
 
     def walk(path: str, rel: str) -> None:
-        for entry in sorted(os.scandir(path), key=attrgetter("name")):
+        with os.scandir(path) as listing:
+            entries = sorted(listing, key=attrgetter("name"))
+        for entry in entries:
             name = rel + entry.name
-            if entry.is_dir():
+            if entry.is_dir(follow_symlinks=False):
                 files[name] = None
                 walk(entry.path, name + "/")
-            elif entry.is_file():
+            elif not entry.is_file(follow_symlinks=False):
+                raise SnapshotIoError(f"neither a regular file nor a directory: {entry.path}")
+            else:
                 st = entry.stat()
                 key = (st.st_dev, st.st_ino)
                 old = inodes.get(name)
@@ -106,7 +109,10 @@ def _read_snapshot(root: Path, prefix: str = "",
                 files[name] = data
                 seen[name] = (key, data)
 
-    walk(str(root), prefix)
+    try:
+        walk(str(root), prefix)
+    except OSError as exc:
+        raise SnapshotIoError(str(exc)) from exc
     inodes.clear()
     inodes.update(seen)
     return files
@@ -492,8 +498,19 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         report.add("trace-consistency", "traces.ndjson", str(exc))
         return report
     inodes: Inodes = {}
-    files = _read_snapshot(revisions_dir / "0000", inodes=inodes)
 
+    def read(snap: Path) -> Optional[Snapshot]:  # None after a layout violation
+        try:
+            if snap.is_symlink():
+                raise SnapshotIoError(f"snapshot is a symbolic link: {snap}")
+            return _read_snapshot(snap, inodes=inodes)
+        except SnapshotIoError as exc:
+            report.add("layout", snap.name, str(exc))
+            return None
+
+    files = read(revisions_dir / "0000")
+    if files is None:
+        return report
     try:
         for revision, tree in replay_records(_build_tree(files), records, adapter):
             snap = revisions_dir / f"{revision:04d}"
@@ -501,7 +518,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
                 if not snap.is_dir():
                     report.add("replay", snap.name, "snapshot missing")
                     continue
-                files = _read_snapshot(snap, inodes=inodes)
+                files = read(snap)
+                if files is None:
+                    continue
             faithful = _tree_files(tree) == files
             if not faithful:
                 report.add("replay-fidelity", snap.name,

@@ -11,6 +11,9 @@ every language-specific hook the engine needs:
 * failure isolation wraps lines in a ``guard { ... }`` block
 * the manifest is a ``project.manifest`` file of ``key: value`` lines with the
   keys ``name``, ``deps``, ``slices``, ``srcdir``, ``testdir``
+
+``check_repository`` checks a repository in one pass over its files, taking
+each source's facts (``file_facts``) and module, then resolves the imports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ManifestParseError, utf8_text
 from .history import Snapshot, _read_snapshot, _repo_files
@@ -47,6 +50,16 @@ class MinilangAdapter:
 
     def scan_imports(self, lines: list[str]) -> list[str]:
         return [ln.strip() for ln in lines if self.is_import(ln)]
+
+    def file_facts(self, path: str, lines: list[str]) -> tuple[Optional[str], list[str]]:
+        """What a source file tells the check by itself: its brace problem,
+        or None, and its import lines, stripped."""
+        depth = 0
+        for i, line in enumerate(lines):
+            depth += line.count("{") - line.count("}")
+            if depth < 0:
+                return f"{path}:{i}: unbalanced closing brace", self.scan_imports(lines)
+        return (f"{path}: unclosed brace" if depth else None), self.scan_imports(lines)
 
     def module_to_relpath(self, module: str) -> str:
         return module.replace(".", "/") + SOURCE_SUFFIX
@@ -169,91 +182,67 @@ def _split_list(value: str) -> list[str]:
 
 # -- compilability checking ---------------------------------------------------
 
-#: one repository as seen by ``check_listing``: repository-relative path
-#: parts -> lines, for every source file and every manifest
-Listing = dict[tuple[str, ...], list[str]]
-
-
 def _external_covers(externals: set[str], module: str) -> bool:
     parts = module.split(".")
     return any(".".join(parts[:k]) in externals for k in range(1, len(parts) + 1))
 
 
-def _subdir(entry: str) -> Optional[tuple[str, ...]]:
-    """Path parts of a manifest directory entry; None when it leaves the
-    repository (absolute, or with a ``..`` part)."""
-    parts = tuple(p for p in entry.split("/") if p not in ("", "."))
+def _subdir(entry: str) -> Optional[str]:
+    """The path prefix of a manifest directory entry, ``"a/b/"`` or ``""``;
+    None when it leaves the repository (absolute, or with a ``..`` part)."""
+    parts = [p for p in entry.split("/") if p not in ("", ".")]
     if entry.startswith("/") or ".." in parts:
         return None
-    return parts
+    return "".join(p + "/" for p in parts)
 
 
-def _under(path: tuple[str, ...], root: tuple[str, ...]) -> bool:
-    return len(path) > len(root) and path[:len(root)] == root
+def check_repository(files: dict[str, list[str]], adapter: MinilangAdapter) -> list[str]:
+    """Problems of one repository, given as repository-relative path ->
+    lines of its sources and manifests; empty means compilable.
 
-
-def check_listing(files: Listing, adapter: MinilangAdapter) -> list[str]:
-    """Problems found in one repository; empty means compilable.
-
-    Checks brace balance per source file and resolution of every import
-    against the repository's own modules, its declared slice sets and
-    declared externals.  Problems name repository-relative paths.
-    """
+    One pass over the sources, in path-part order, takes each file's facts
+    and adds its module to the slices' set when it lies under a slice root,
+    else to the host's when under ``srcdir``.  Then the imports resolve: a
+    slice file against the slices' modules, a host file against both sets,
+    and either one against the externals the repository's manifests list."""
     manifest = ManifestModel(name="")
-    if (MANIFEST_NAME,) in files:
+    if MANIFEST_NAME in files:
         try:
-            manifest = adapter.manifest_parse(files[(MANIFEST_NAME,)])
+            manifest = adapter.manifest_parse(files[MANIFEST_NAME])
         except ManifestParseError as exc:
             return [f"{MANIFEST_NAME}: {exc}"]
 
-    sources = sorted(p for p in files if adapter.is_source_file(p[-1]))
-    slice_roots = [r for r in map(_subdir, manifest.slices) if r is not None]
-    src_root = _subdir(manifest.extras.get("srcdir", ""))
-
-    def modules_under(root: Optional[tuple[str, ...]],
-                      exclude: Sequence[tuple[str, ...]] = ()) -> set[str]:
-        if root is None:
-            return set()
-        return {adapter.relpath_to_module("/".join(p[len(root):]))
-                for p in sources
-                if _under(p, root) and not any(_under(p, ex) for ex in exclude)}
-
     problems: list[str] = []
-    slice_modules: set[str] = set()
     externals = set(manifest.deps)
+    slice_roots = [r for r in map(_subdir, manifest.slices) if r is not None]
     for root in slice_roots:
-        slice_modules |= modules_under(root)
-        smani = root + (MANIFEST_NAME,)
+        smani = root + MANIFEST_NAME
         if smani in files:
             try:
                 externals |= set(adapter.manifest_parse(files[smani]).deps)
             except ManifestParseError as exc:
-                problems.append(f"{'/'.join(smani)}: {exc}")
-    host_modules = modules_under(src_root, exclude=slice_roots) | slice_modules
+                problems.append(f"{smani}: {exc}")
 
-    for path in sources:
-        rel = "/".join(path)
-        lines = files[path]
-        depth = 0
-        for i, line in enumerate(lines):
-            depth += line.count("{") - line.count("}")
-            if depth < 0:
-                problems.append(f"{rel}:{i}: unbalanced closing brace")
-                break
-        if depth > 0:
-            problems.append(f"{rel}: unclosed brace")
-        in_slice = any(_under(path, root) for root in slice_roots)
+    src_root = _subdir(manifest.extras.get("srcdir", ""))
+    slice_modules, host_modules, facts = set(), set(), []
+    for path in sorted((p for p in files if adapter.is_source_file(p.rpartition("/")[2])),
+                       key=lambda p: p.split("/")):
+        roots = [r for r in slice_roots if path.startswith(r)]
+        slice_modules.update(adapter.relpath_to_module(path[len(r):]) for r in roots)
+        if not roots and src_root is not None and path.startswith(src_root):
+            host_modules.add(adapter.relpath_to_module(path[len(src_root):]))
+        facts.append((path, bool(roots), *adapter.file_facts(path, files[path])))
+    host_modules |= slice_modules
+
+    for path, in_slice, brace, imports in facts:
+        if brace is not None:
+            problems.append(brace)
         resolvable = slice_modules if in_slice else host_modules
-        for line in lines:
-            if adapter.is_import(line):
-                module = adapter.import_module(line)
-                if module not in resolvable and not _external_covers(externals, module):
-                    problems.append(f"{rel}: unresolved {line.strip()!r}")
+        for line in imports:
+            module = adapter.import_module(line)
+            if module not in resolvable and not _external_covers(externals, module):
+                problems.append(f"{path}: unresolved {line!r}")
     return problems
-
-
-def _is_checked_file(adapter: MinilangAdapter, name: str) -> bool:
-    return name == MANIFEST_NAME or adapter.is_source_file(name)
 
 
 def check_files(files: Snapshot, adapter: MinilangAdapter) -> list[str]:
@@ -268,13 +257,13 @@ def check_files(files: Snapshot, adapter: MinilangAdapter) -> list[str]:
     repos: dict[str, dict[str, bytes]] = {}
     for rel, data in files.items():
         repo, _, path = rel.partition("/")
-        if data is not None and path and _is_checked_file(
-                adapter, path.rpartition("/")[2]):
+        base = path.rpartition("/")[2]
+        if data is not None and path and (base == MANIFEST_NAME or adapter.is_source_file(base)):
             repos.setdefault(repo, {})[path] = data
     problems = []
     for name, checked in sorted(repos.items()):
-        found = check_listing(
-            {tuple(path.split("/")): utf8_text(data, f"{name}/{path}").splitlines()
+        found = check_repository(
+            {path: utf8_text(data, f"{name}/{path}").splitlines()
              for path, data in checked.items()}, adapter)
         problems.extend(f"{name}/{msg}" for msg in found)
     return problems

@@ -125,8 +125,6 @@ class AssetNode:
 
 def flatten_lines(node: AssetNode) -> list[str]:
     """Physical text lines of a file (or block), in serialization order."""
-    if node.kind == LINE:
-        return list(node.content or [])
     if node.content is not None:
         return list(node.content)
     out: list[str] = []

@@ -145,7 +145,7 @@ def resolve_lpq(model: FeatureModel, lpq: tuple[str, ...]) -> Feature:
     return model.find(lpq_to_full_path(model, lpq))
 
 
-def make_feature_ref(tree: AssetTree, repo: AssetNode, feature: Feature) -> FeatureRef:
+def make_feature_ref(repo: AssetNode, feature: Feature) -> FeatureRef:
     assert repo.feature_model is not None
     return FeatureRef(f"/{repo.name}", make_feature_lpq(repo.feature_model, feature))
 

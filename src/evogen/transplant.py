@@ -159,9 +159,9 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
     for rel in slice_set:
         used_externals |= donor.external_uses.get(rel, frozenset())
 
-    fragment = adapt_manifest(donor.manifest, adapter)
-    fragment.deps = sorted(used_externals)
-
+    # the donor manifest keeps its name and slices; deps become those the organ uses
+    fragment = ManifestModel(name=donor.manifest.name, deps=sorted(used_externals),
+                             slices=list(donor.manifest.slices))
     body = list(donor.files[candidate.file][candidate.body_start:candidate.body_end + 1])
     return Organ(
         in_file_deps=list(candidate.imports),
@@ -169,13 +169,6 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
         manifest_lines=adapter.manifest_emit(fragment),
         body=body,
     )
-
-
-def adapt_manifest(donor_manifest: ManifestModel, adapter) -> ManifestModel:
-    """Keep only project name, external deps and local slice declarations."""
-    return ManifestModel(name=donor_manifest.name,
-                         deps=list(donor_manifest.deps),
-                         slices=list(donor_manifest.slices))
 
 
 # -- integration -------------------------------------------------------------

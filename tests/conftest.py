@@ -1,13 +1,15 @@
 import json
+import os
 import random
 from pathlib import Path
 
 import pytest
 
+from evogen.errors import ManifestParseError
 from evogen.history import SCHEMA_VERSION, parse_initial_system
 from evogen.minilang import MinilangAdapter
-from evogen.model import (FILE, FOLDER, LINE, REPOSITORY, AssetNode, AssetTree,
-                          Feature, FeatureModel)
+from evogen.model import (FILE, FOLDER, LINE, MANIFEST_NAME, REPOSITORY, AssetNode,
+                          AssetTree, Feature, FeatureModel, ManifestModel)
 from evogen.refs import make_asset_ref
 from evogen.runner import RunConfig, preset
 from evogen.transplant import load_donor
@@ -84,6 +86,26 @@ def write_donor(root: Path, name: str, tests: int = 4, modules: int = 3,
             "}",
         ]) + "\n")
     return donor
+
+
+#: entries a snapshot reader must refuse, as ``make_special_entry`` makes them
+SPECIAL_ENTRIES = ["loop link", "outside link", "file link", "dangling link", "fifo"]
+
+
+def make_special_entry(kind: str, path: Path, outside: Path) -> None:
+    """Make `path` one of SPECIAL_ENTRIES: a link to its parent folder, a link
+    to the directory `outside`, a link to the manifest beside it, a link to
+    nothing, or a fifo."""
+    if kind == "loop link":
+        path.symlink_to("..")
+    elif kind == "outside link":
+        path.symlink_to(outside, target_is_directory=True)
+    elif kind == "file link":
+        path.symlink_to("project.manifest")
+    elif kind == "dangling link":
+        path.symlink_to("nowhere")
+    else:
+        os.mkfifo(path)
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +260,141 @@ def reference_feature_state(tree: AssetTree) -> bytes:
             "mappings": mappings}
     state = {"schema": SCHEMA_VERSION, "revision": tree.revision, "repos": repos}
     return (json.dumps(state, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+# -- reference compilability check -------------------------------------------
+
+def _external_covers(externals: set[str], module: str) -> bool:
+    parts = module.split(".")
+    return any(".".join(parts[:k]) in externals for k in range(1, len(parts) + 1))
+
+
+def _subdir(entry: str):
+    parts = tuple(p for p in entry.split("/") if p not in ("", "."))
+    if entry.startswith("/") or ".." in parts:
+        return None
+    return parts
+
+
+def _under(path: tuple[str, ...], root: tuple[str, ...]) -> bool:
+    return len(path) > len(root) and path[:len(root)] == root
+
+
+def reference_check_listing(files: dict[tuple[str, ...], list[str]],
+                            adapter) -> list[str]:
+    """The compilability check of one repository as first written: paths as
+    tuples of parts, and one scan of the sources per slice root.  The
+    reference that ``minilang.check_repository`` must equal."""
+    manifest = ManifestModel(name="")
+    if (MANIFEST_NAME,) in files:
+        try:
+            manifest = adapter.manifest_parse(files[(MANIFEST_NAME,)])
+        except ManifestParseError as exc:
+            return [f"{MANIFEST_NAME}: {exc}"]
+
+    sources = sorted(p for p in files if adapter.is_source_file(p[-1]))
+    slice_roots = [r for r in map(_subdir, manifest.slices) if r is not None]
+    src_root = _subdir(manifest.extras.get("srcdir", ""))
+
+    def modules_under(root, exclude=()) -> set[str]:
+        if root is None:
+            return set()
+        return {adapter.relpath_to_module("/".join(p[len(root):]))
+                for p in sources
+                if _under(p, root) and not any(_under(p, ex) for ex in exclude)}
+
+    problems: list[str] = []
+    slice_modules: set[str] = set()
+    externals = set(manifest.deps)
+    for root in slice_roots:
+        slice_modules |= modules_under(root)
+        smani = root + (MANIFEST_NAME,)
+        if smani in files:
+            try:
+                externals |= set(adapter.manifest_parse(files[smani]).deps)
+            except ManifestParseError as exc:
+                problems.append(f"{'/'.join(smani)}: {exc}")
+    host_modules = modules_under(src_root, exclude=slice_roots) | slice_modules
+
+    for path in sources:
+        rel = "/".join(path)
+        lines = files[path]
+        depth = 0
+        for i, line in enumerate(lines):
+            depth += line.count("{") - line.count("}")
+            if depth < 0:
+                problems.append(f"{rel}:{i}: unbalanced closing brace")
+                break
+        if depth > 0:
+            problems.append(f"{rel}: unclosed brace")
+        in_slice = any(_under(path, root) for root in slice_roots)
+        resolvable = slice_modules if in_slice else host_modules
+        for line in lines:
+            if adapter.is_import(line):
+                module = adapter.import_module(line)
+                if module not in resolvable and not _external_covers(externals, module):
+                    problems.append(f"{rel}: unresolved {line.strip()!r}")
+    return problems
+
+
+def reference_check_repository(files: dict[str, list[str]], adapter) -> list[str]:
+    """``reference_check_listing`` of a repository keyed by string paths."""
+    return reference_check_listing(
+        {tuple(path.split("/")): lines for path, lines in files.items()}, adapter)
+
+
+#: manifest directory entries: the repository itself, dotted and doubled
+#: separators, entries that leave the repository, nested and source-named roots
+_ENTRIES = [".", "./", "./x", "x", "x/", "a", "a//b", "a/b", "../x", "a/../b",
+            "/abs/x", "/", "src", "src/lib", "slices/a", "slices/a/b", "./slices/x/",
+            "x.mini", "a/m.mini"]
+_DIRS = ["", "a/", "a/b/", "a-b/", "x/", "src/", "src/lib/", "src/lib/x/",
+         "slices/a/", "slices/a/b/", "slices/x/", "slices/x/lib/", "pkg.mini/"]
+_NAMES = ["m", "n", "x", "a", "b"]
+
+
+def _module_name(rng: random.Random) -> str:
+    if rng.random() < 0.25:
+        return rng.choice(["ext", "ext.io", "stdlib.net", "ghost", "exto"])
+    path = rng.choice(_DIRS) + rng.choice(_NAMES)
+    parts = path.split("/")
+    return ".".join(parts[rng.randrange(len(parts)):])
+
+
+def _manifest(rng: random.Random, name: str) -> list[str]:
+    lines = [f"name: {name}"]
+    if rng.random() < 0.5:
+        lines.append("deps: " + ", ".join(rng.sample(["ext", "stdlib", "lib"],
+                                                      rng.randint(1, 2))))
+    if rng.random() < 0.1:
+        lines.append(rng.choice(["oops", "  bogus  "]))
+    return lines
+
+
+def random_repository(rng: random.Random) -> dict[str, list[str]]:
+    """A repository as ``check_repository`` takes it: manifests whose
+    ``slices`` and ``srcdir`` entries are drawn from ``_ENTRIES``, with
+    duplicates, and sources of random braces and imports, some of them in
+    a folder named like a source or at a path equal to a slice root."""
+    files: dict[str, list[str]] = {}
+    if rng.random() < 0.9:
+        manifest = _manifest(rng, "r")
+        if rng.random() < 0.8:
+            manifest.append("slices: " + ", ".join(
+                rng.choice(_ENTRIES) for _ in range(rng.randint(1, 4))))
+        if rng.random() < 0.6:
+            manifest.append("srcdir: " + rng.choice(_ENTRIES))
+        rng.shuffle(manifest)
+        files[MANIFEST_NAME] = manifest
+    for folder in rng.sample(_DIRS[1:], rng.randint(0, 3)):
+        files[folder + MANIFEST_NAME] = _manifest(rng, folder)
+    for _ in range(rng.randint(0, 10)):
+        path = rng.choice(_DIRS) + rng.choice(_NAMES) + rng.choice([".mini", ".mini", ".txt"])
+        files[path] = [rng.choice(["{", "}", "def f {", "x { }", "work", "", "import",
+                                   f"import {_module_name(rng)}",
+                                   f"  import  {_module_name(rng)} "])
+                       for _ in range(rng.randint(0, 6))]
+    return files
 
 
 # -- ledger tampers ----------------------------------------------------------

@@ -6,8 +6,10 @@ node (``AssetNode.derived``).  On every attempt of seeded histories, rolled-back
 ones included, and at every revision ``validate_history`` replays, each kept
 value must equal the same value computed afresh on a copy of the node, and
 the gate's problem list must equal ``check_snapshot_dir`` on a materialized
-copy of the tree.  A repository an attempt does not ``own`` keeps the problem
-list the input tree's check left on it.  With ``own`` disabled the oracle
+copy of the tree, and each repository's ``check_repository`` must equal
+``reference_check_listing``, the check as first written over tuple paths.  A
+repository an attempt does not ``own`` keeps the problem list the input
+tree's check left on it.  With ``own`` disabled the oracle
 must find stale values.  On the same attempts, ``run_in_transaction`` must
 leave its input tree as it found it, and its scratch copy must share every
 repository it did not ``own`` with the input tree and hold a separate copy,
@@ -25,10 +27,11 @@ from evogen import history, model, runner
 from evogen.history import (_repo_files, _repo_fragment, _tree_files,
                             materialize_tree, validate_history)
 from evogen.operations import Committed
-from evogen.minilang import MinilangAdapter, check_files, check_snapshot_dir
+from evogen.minilang import (MinilangAdapter, check_files, check_repository,
+                             check_snapshot_dir)
 from evogen.runner import PRESET_NAMES, run
 
-from conftest import mix_config, reference_feature_state
+from conftest import mix_config, reference_check_repository, reference_feature_state
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
@@ -57,10 +60,21 @@ def _check_kept(tree: model.AssetTree, adapter, seen: dict, phase: str) -> None:
                 seen[f"stale in {phase}"].append(f"{repo.name}: {key}")
 
 
+def _check_against_reference(tree: model.AssetTree, adapter, seen: dict) -> None:
+    """List in ``seen["check vs reference"]`` each repository of `tree` whose
+    ``check_repository`` differs from the reference check's."""
+    for repo in tree.repositories:
+        prefix = f"{repo.name}/"
+        files = {rel[len(prefix):]: data.decode().splitlines()
+                 for rel, data in _repo_files(repo).items() if data is not None}
+        if check_repository(files, adapter) != reference_check_repository(files, adapter):
+            seen["check vs reference"].append(repo.name)
+
+
 def _seen() -> dict:
     return {"stale in generate": [], "stale in validate": [], "gate vs disk": [],
-            "problems not reused": [], "verdicts": [], "replayed": 0,
-            "checked": Counter()}
+            "problems not reused": [], "check vs reference": [], "verdicts": [],
+            "replayed": 0, "checked": Counter()}
 
 
 def _generate(config, corpus, out, tmp_path, monkeypatch, seen: dict,
@@ -78,6 +92,7 @@ def _generate(config, corpus, out, tmp_path, monkeypatch, seen: dict,
         def checker(tree):
             problems = in_memory(tree)
             _check_kept(tree, adapter, seen, "generate")
+            _check_against_reference(tree, adapter, seen)
             # tree.shared names the repositories this attempt did not own
             seen["problems not reused"].extend(
                 name for name in tree.shared
@@ -137,6 +152,7 @@ def test_in_memory_check_equals_disk_check_on_every_attempt(mix, oracle_corpus, 
     assert seen["stale in validate"] == []
     assert seen["gate vs disk"] == []
     assert seen["problems not reused"] == []
+    assert seen["check vs reference"] == []
     assert seen["replayed"] == committed + 1
     # every kind of kept value was seen
     assert set(seen["checked"]) == {

@@ -7,7 +7,8 @@ from click.testing import CliRunner
 from evogen.cli import main
 from evogen.history import LEDGER_KEYS
 
-from conftest import tamper_ledger, write_donor, write_initial_system
+from conftest import (SPECIAL_ENTRIES, make_special_entry, tamper_ledger, write_donor,
+                      write_initial_system)
 
 
 @pytest.fixture
@@ -533,3 +534,54 @@ class TestBrokenInputEndsWithoutTraceback:
         for result in (stats, replay):
             assert isinstance(result.exception, SystemExit)
             assert message in result.output
+
+    @pytest.mark.parametrize("kind", SPECIAL_ENTRIES)
+    def test_special_entry_in_a_later_revision(self, runner, tmp_path, kind):
+        _, out = generate_history(runner, tmp_path)
+        entry = out / "revisions" / "0003" / "calc" / "entry"
+        make_special_entry(kind, entry, tmp_path / "in_out")
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        assert validate.exit_code == 1
+        # the read fails at 0003 alone: revisions 4 and on are still checked
+        assert violations == [{"kind": "layout", "where": "0003", "message":
+                               f"neither a regular file nor a directory: {entry}"}]
+        assert (stats.exit_code, replay.exit_code) == (0, 0)  # neither reads 0003
+
+    @pytest.mark.parametrize("kind", SPECIAL_ENTRIES)
+    def test_special_entry_in_revision_zero(self, runner, tmp_path, kind):
+        _, out = generate_history(runner, tmp_path)
+        entry = out / "revisions" / "0000" / "calc" / "entry"
+        make_special_entry(kind, entry, tmp_path / "in_out")
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        message = f"neither a regular file nor a directory: {entry}"
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "layout", "where": "0000", "message": message}]
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for result in (stats, replay):
+            assert isinstance(result.exception, SystemExit)
+            assert message in result.output
+
+    def test_symlinked_revision_directory(self, runner, tmp_path):
+        _, out = generate_history(runner, tmp_path)
+        snap = out / "revisions" / "0002"
+        snap.rename(tmp_path / "moved")
+        snap.symlink_to(tmp_path / "moved", target_is_directory=True)
+        validate, violations, _ = self._commands(runner, out)
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "layout", "where": "0002",
+                               "message": f"snapshot is a symbolic link: {snap}"}]
+
+    @pytest.mark.parametrize("kind", SPECIAL_ENTRIES)
+    @pytest.mark.parametrize("where", ["system", "donor"])
+    def test_special_entry_in_an_input_exit_two(self, runner, tmp_path, where, kind):
+        system = write_initial_system(tmp_path / "in")
+        donor = write_donor(tmp_path / "donors", "widget")
+        entry = (system if where == "system" else donor) / "entry"
+        make_special_entry(kind, entry, tmp_path / "donors")
+        result = runner.invoke(main, [
+            "generate", "--system", str(system), "--donor", str(donor),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"neither a regular file nor a directory: {entry}" in result.output
+        assert not (tmp_path / "out").exists()

@@ -4,11 +4,12 @@ import pytest
 
 from evogen.errors import ManifestParseError, SnapshotIoError
 from evogen.history import _read_snapshot, materialize_tree, parse_snapshot
-from evogen.minilang import (MinilangAdapter, check_files, check_listing,
+from evogen.minilang import (MinilangAdapter, check_files, check_repository,
                              check_snapshot_dir, check_tree)
 from evogen.model import AssetTree, ManifestModel
 
-from conftest import build_repo, write_initial_system
+from conftest import (build_repo, random_repository, reference_check_repository,
+                      write_initial_system)
 
 
 @pytest.fixture
@@ -162,7 +163,7 @@ class TestChecker:
         assert problems and all(p.startswith("broken/") for p in problems)
 
 
-# -- one checker over a snapshot's bytes: disk, tree and listing agree -------
+# -- one checker over a snapshot's bytes: disk, tree and repository agree ----
 
 def _write(root, files: dict[str, str]) -> None:
     for rel, text in files.items():
@@ -210,13 +211,28 @@ class TestListing:
     @pytest.mark.parametrize("case", LISTING_CASES)
     def test_listing_disk_and_tree_agree(self, tmp_path, mini, case):
         files, expected = LISTING_CASES[case]
-        listing = {tuple(rel.split("/")): text.splitlines()
-                   for rel, text in files.items()}
-        assert check_listing(listing, mini) == expected
+        listing = {rel: text.splitlines() for rel, text in files.items()}
+        assert check_repository(listing, mini) == expected
+        assert reference_check_repository(listing, mini) == expected
         _write(tmp_path / "r", files)
         in_repo = [f"r/{p}" for p in expected]
         assert check_snapshot_dir(tmp_path, mini) == in_repo
         assert check_tree(parse_snapshot(tmp_path), mini) == in_repo
+
+    def test_first_repository_by_name_names_its_non_utf8_file_from_every_feeder(
+            self, tmp_path, mini):
+        for repo, bad in (("zeta", "a.mini"), ("alpha", "z.mini")):
+            _write(tmp_path / repo, {"project.manifest": "name: r\n", "m.mini": ""})
+            (tmp_path / repo / bad).write_bytes(b"\xff\n")
+        files = _read_snapshot(tmp_path)
+        zeta_first = dict(sorted(files.items(), reverse=True))
+        message = "alpha/z.mini: not UTF-8 text"
+        for feed in (lambda: check_files(files, mini),
+                     lambda: check_files(zeta_first, mini),
+                     lambda: check_snapshot_dir(tmp_path, mini),
+                     lambda: check_snapshot_dir(tmp_path, mini, zeta_first)):
+            with pytest.raises(SnapshotIoError, match=message):
+                feed()
 
     def test_repositories_in_name_order(self, tmp_path, mini):
         tree = AssetTree()
@@ -289,3 +305,31 @@ class TestCheckerFixes:
         expected = ["lib/library.mini: unclosed brace"]
         assert check_snapshot_dir(tmp_path, mini) == expected
         assert check_tree(parse_snapshot(tmp_path), mini) == expected
+
+
+class TestCheckRepositoryOracle:
+    """``check_repository`` equals ``reference_check_listing``, the check as
+    first written over tuple paths, on seeded random repositories."""
+
+    def test_equals_the_reference_on_random_repositories(self, mini):
+        kinds, ordered = set(), 0
+        for seed in range(400):
+            files = random_repository(random.Random(seed))
+            problems = check_repository(files, mini)
+            assert problems == reference_check_repository(files, mini), seed
+            kinds.update(self._kind(p) for p in problems)
+            ordered += len(set(problems)) > 1
+        # every kind of problem shows, and many lists fix an order of
+        # distinct messages, so a changed message or order is caught
+        assert kinds == {"manifest", "slice manifest", "unbalanced", "unclosed",
+                         "unresolved"}
+        assert ordered >= 100
+
+    @staticmethod
+    def _kind(problem: str) -> str:
+        if problem.startswith("project.manifest: "):
+            return "manifest"
+        if "/project.manifest: " in problem:
+            return "slice manifest"
+        return next(kind for kind in ("unbalanced", "unclosed", "unresolved")
+                    if f": {kind} " in problem)

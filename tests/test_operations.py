@@ -33,7 +33,7 @@ class TestRemoveFeature:
     def test_removes_exclusive_assets_and_mappings(self):
         tree = AssetTree()
         repo = featured_repo(tree)
-        ref = make_feature_ref(tree, repo, repo.feature_model.find(("r", "F")))
+        ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
         record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
         assert repo.child_named("a.mini") is None
         assert repo.child_named("b.mini").mapped_features == {("r", "G")}
@@ -45,7 +45,7 @@ class TestRemoveFeature:
     def test_remove_root_raises(self):
         tree = AssetTree()
         repo = featured_repo(tree)
-        ref = make_feature_ref(tree, repo, repo.feature_model.root)
+        ref = make_feature_ref(repo, repo.feature_model.root)
         with pytest.raises(CannotRemoveRoot):
             apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
 
@@ -55,7 +55,7 @@ class TestRemoveFeature:
         repo.feature_model.root.children = [
             Feature("F", "f", [Feature("C", "c")])]
         repo.child_named("a.mini").mapped_features = {("r", "F", "C")}
-        ref = make_feature_ref(tree, repo, repo.feature_model.find(("r", "F")))
+        ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
         apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
         assert repo.child_named("a.mini") is None
         assert repo.feature_model.paths() == [("r",)]
@@ -67,7 +67,7 @@ class TestRemoveFeature:
         folder = repo.child_named("d")
         folder.mapped_features = {("r", "F")}
         folder.child_named("a.mini").mapped_features = {("r", "F")}
-        ref = make_feature_ref(tree, repo, repo.feature_model.find(("r", "F")))
+        ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
         record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
         assert [(s.kind, s.params) for s in record.sub_ops] == [
             ("RemoveAsset", {"asset": "0:/r/d"})]
@@ -82,7 +82,7 @@ class TestRemoveFeature:
         repo.child_named("a.mini").mapped_features = {("r", "F")}
         repo.child_named("b.mini").mapped_features = {("r", "F")}
         pre = tree.clone()
-        ref = make_feature_ref(tree, repo, repo.feature_model.find(("r", "F")))
+        ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
         record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
         from evogen.refs import AssetRef, resolve_asset_ref
         removed = [s for s in record.sub_ops if s.kind == "RemoveAsset"]
@@ -163,11 +163,11 @@ class TestCloneFeature:
 
     def test_clone_into_pruned_variant(self):
         tree, r1, r2 = self._variant_pair()
-        ref = make_feature_ref(tree, r2, r2.feature_model.find(("r", "F")))
+        ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
         apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
         assert r2.child_named("a.mini") is None
-        src = make_feature_ref(tree, r1, r1.feature_model.find(("r", "F")))
-        tgt = make_feature_ref(tree, r2, r2.feature_model.root)
+        src = make_feature_ref(r1, r1.feature_model.find(("r", "F")))
+        tgt = make_feature_ref(r2, r2.feature_model.root)
         record = apply_clone_feature(tree, {
             "source_repo": "r", "target_repo": "r2",
             "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3")
@@ -182,8 +182,8 @@ class TestCloneFeature:
 
     def test_already_present_raises(self):
         tree, r1, r2 = self._variant_pair()
-        src = make_feature_ref(tree, r1, r1.feature_model.find(("r", "F")))
-        tgt = make_feature_ref(tree, r2, r2.feature_model.root)
+        src = make_feature_ref(r1, r1.feature_model.find(("r", "F")))
+        tgt = make_feature_ref(r2, r2.feature_model.root)
         with pytest.raises(AlreadyPresent):
             apply_clone_feature(tree, {
                 "source_repo": "r", "target_repo": "r2",
@@ -193,8 +193,8 @@ class TestCloneFeature:
         tree = AssetTree()
         r1 = featured_repo(tree, "r1")
         r2 = build_repo(tree, "r2", {})
-        src = make_feature_ref(tree, r1, r1.feature_model.find(("r1", "F")))
-        tgt = make_feature_ref(tree, r2, r2.feature_model.root)
+        src = make_feature_ref(r1, r1.feature_model.find(("r1", "F")))
+        tgt = make_feature_ref(r2, r2.feature_model.root)
         with pytest.raises(UnrelatedRepositories):
             apply_clone_feature(tree, {
                 "source_repo": "r1", "target_repo": "r2",
@@ -203,13 +203,11 @@ class TestCloneFeature:
     @pytest.mark.parametrize("key", ["feature", "target_parent"])
     def test_feature_ref_of_another_repository_raises(self, key):
         tree, r1, r2 = self._variant_pair()
-        ref = make_feature_ref(tree, r2, r2.feature_model.find(("r", "F")))
+        ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
         apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
         params = {"source_repo": "r", "target_repo": "r2",
-                  "feature": make_feature_ref(tree, r1, r1.feature_model.find(
-                      ("r", "F"))).to_text(),
-                  "target_parent": make_feature_ref(
-                      tree, r2, r2.feature_model.root).to_text()}
+                  "feature": make_feature_ref(r1, r1.feature_model.find(("r", "F"))).to_text(),
+                  "target_parent": make_feature_ref(r2, r2.feature_model.root).to_text()}
         # the same LPQ, in the other repository of the pair
         other = {"feature": r2, "target_parent": r1}[key]
         params[key] = FeatureRef(f"/{other.name}",
@@ -219,10 +217,10 @@ class TestCloneFeature:
 
     def test_default_integration_index_after_traced_predecessor(self):
         tree, r1, r2 = self._variant_pair()
-        ref = make_feature_ref(tree, r2, r2.feature_model.find(("r", "F")))
+        ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
         apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
-        src = make_feature_ref(tree, r1, r1.feature_model.find(("r", "F")))
-        tgt = make_feature_ref(tree, r2, r2.feature_model.root)
+        src = make_feature_ref(r1, r1.feature_model.find(("r", "F")))
+        tgt = make_feature_ref(r2, r2.feature_model.root)
         apply_clone_feature(tree, {
             "source_repo": "r", "target_repo": "r2",
             "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3")

@@ -19,6 +19,8 @@
 import json
 import os
 import random
+import re
+from contextlib import nullcontext
 from pathlib import Path, PurePath
 
 import pytest
@@ -26,12 +28,14 @@ from click.testing import CliRunner
 
 from evogen import history as history_module
 from evogen.cli import main
+from evogen.errors import SnapshotIoError
 from evogen.history import _read_snapshot, feature_state, write_snapshot
 from evogen.model import FILE, Feature, FeatureModel
 from evogen.runner import PRESET_NAMES, run
 
-from conftest import (mix_config, random_fs_tree, random_structured_tree,
-                      reference_feature_state, write_donor, write_initial_system)
+from conftest import (SPECIAL_ENTRIES, make_special_entry, mix_config, random_fs_tree,
+                      random_structured_tree, reference_feature_state, write_donor,
+                      write_initial_system)
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
@@ -96,7 +100,8 @@ def test_equal_inode_on_another_device_is_read(oracle_corpus, tmp_path, monkeypa
 
     def scandir(path):
         device = int(Path(path).relative_to(out / "revisions").parts[0])
-        return [_OtherDevice(entry, device) for entry in real_scandir(path)]
+        with real_scandir(path) as entries:
+            return nullcontext([_OtherDevice(entry, device) for entry in entries])
 
     def counting(path):
         opened.append(path)
@@ -112,6 +117,35 @@ def test_equal_inode_on_another_device_is_read(oracle_corpus, tmp_path, monkeypa
         monkeypatch.undo()
         files_read += len(inodes)
     assert len(opened) == files_read > 0
+
+
+@pytest.mark.parametrize("kind", SPECIAL_ENTRIES)
+def test_reader_refuses_an_entry_that_is_neither_file_nor_directory(kind, tmp_path):
+    system = write_initial_system(tmp_path / "in")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "stray.mini").write_text("def stray {\n}\n")
+    make_special_entry(kind, system / "entry", outside)
+    message = f"neither a regular file nor a directory: {system / 'entry'}"
+    with pytest.raises(SnapshotIoError, match=re.escape(message)):
+        _read_snapshot(system)
+
+
+def test_reader_follows_a_link_to_its_root(tmp_path):
+    system = write_initial_system(tmp_path / "in")
+    (tmp_path / "link").symlink_to(system, target_is_directory=True)
+    assert _read_snapshot(tmp_path / "link") == _read_snapshot(system)
+
+
+def test_reader_turns_an_os_error_into_a_snapshot_io_error(tmp_path, monkeypatch):
+    system = write_initial_system(tmp_path / "in")
+
+    def failing(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(history_module, "_read_file", failing)
+    with pytest.raises(SnapshotIoError, match="Permission denied"):
+        _read_snapshot(system)
 
 
 def _generate(tmp_path: Path) -> Path:

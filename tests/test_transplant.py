@@ -271,8 +271,7 @@ class TestIntegration:
         from evogen.operations import apply_remove_feature
         from evogen.refs import make_feature_ref
         v2 = tree.find_repository("calc_v2")
-        ref = make_feature_ref(tree, v2,
-                               v2.feature_model.find(("calc", "widget_case0")))
+        ref = make_feature_ref(v2, v2.feature_model.find(("calc", "widget_case0")))
         apply_remove_feature(tree, {"feature": ref.to_text()}, "op3")
         tree.revision += 1
         p1 = self._transplant_params(tree, donor, adapter, "widget_case0",
