@@ -1,9 +1,10 @@
 """Stochastic generators: they bind concrete parameters to operations.
 
 Each generator is a pure function of (tree view, rng state, context): the same
-inputs always yield the same candidate.  A generator returns None when its
-candidate space is empty or when the sensibility check discards the draw; the
-runner counts both as a retry.
+inputs always yield the same candidate.  The transplant draw also marks the
+donor test it draws as consumed in the context.  A generator returns None
+when its candidate space is empty or when the sensibility check discards the
+draw; the runner counts both as a retry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 from . import model
 from .errors import EvogenError
 from .history import _repo_files
-from .model import FILE, MANIFEST_NAME, AssetNode, AssetTree
+from .model import FILE, MANIFEST_NAME, AssetNode, AssetTree, DonorProject
 from .operations import ADD_LINE, DELETE_LINE, REPLACE_LINE
 from .refs import AssetRef, make_asset_ref, make_feature_ref, resolve_asset_ref
 from .transplant import extract_organ, legal_insertion_points
@@ -34,7 +35,10 @@ class CandidateOperation:
 class GenContext:
     adapter: object
     sensibility_discard_prob: float = 0.5
-    #: (donor id, test id) pairs already attempted; owned by the runner
+    #: the donor projects of the run by id; read only
+    donors: dict[str, DonorProject] = field(default_factory=dict)
+    #: (donor id, test id) pairs already drawn; ``gen_transplant`` adds each
+    #: test whose draw gets past the insertion point, committed or not
     consumed: set[tuple[str, str]] = field(default_factory=set)
 
 
@@ -108,12 +112,9 @@ def gen_transplant(tree: AssetTree, rng: random.Random,
                    ctx: GenContext) -> Optional[CandidateOperation]:
     """Uniform over unconsumed modular donor tests x uniform over legal
     insertion points of a uniformly chosen repository."""
-    pool = []
-    for donor_id in sorted(tree.donors):
-        donor = tree.donors[donor_id]
-        for cand in donor.test_candidates:
-            if cand.modular and (donor_id, cand.id) not in ctx.consumed:
-                pool.append((donor_id, cand))
+    pool = [(donor_id, cand) for donor_id in sorted(ctx.donors)
+            for cand in ctx.donors[donor_id].test_candidates
+            if cand.modular and (donor_id, cand.id) not in ctx.consumed]
     if not pool:
         return None
     donor_id, cand = pool[rng.randrange(len(pool))]
@@ -123,11 +124,12 @@ def gen_transplant(tree: AssetTree, rng: random.Random,
     if not points:
         return None
     target, idx = points[rng.randrange(len(points))]
+    # drawn once: an unusable test is discarded, a usable one is not drawn
+    # again whether or not its attempt commits
+    ctx.consumed.add((donor_id, cand.id))
     try:
-        organ = extract_organ(tree.donors[donor_id], cand.id, ctx.adapter)
+        organ = extract_organ(ctx.donors[donor_id], cand.id, ctx.adapter)
     except EvogenError:
-        # unusable candidate: discarded, never retried elsewhere
-        ctx.consumed.add((donor_id, cand.id))
         return None
     return CandidateOperation("TransplantFeature", {
         "repo": repo.name,
@@ -136,7 +138,7 @@ def gen_transplant(tree: AssetTree, rng: random.Random,
         "test_name": cand.name,
         "insertion_parent": AssetRef(tree.revision, "/" + target).to_text(),
         "insertion_index": idx,
-        "organ": organ.to_params(),
+        "organ": organ,
     })
 
 

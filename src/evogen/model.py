@@ -1,4 +1,5 @@
-"""World state of a generation run: asset tree, feature models, clone traces, donors.
+"""World state of a generation run: asset tree, feature models, clone traces,
+and the donor projects the run transplants from.
 
 The asset tree holds every variant of the evolving system beneath a synthetic
 root node.  Repositories, folders and files mirror the filesystem; files carry
@@ -307,14 +308,16 @@ class TestCandidate:
 class DonorProject:
     """External project features are transplanted from.
 
-    A donor holds only its scan products, which never change during a run,
-    so every copy of the tree shares the same donor objects.
+    A donor holds only its scan products, which never change during a run:
+    it is an input of the transplant draw, not a part of the tree.
     """
 
     id: str
     manifest: ManifestModel
     files: dict[str, tuple[str, ...]]
     test_candidates: list[TestCandidate]
+    #: module name -> donor path of its source file
+    modules: dict[str, str]
     module_deps: dict[str, frozenset[str]]
     external_uses: dict[str, frozenset[str]]
 
@@ -333,7 +336,6 @@ class AssetTree:
         self.root = AssetNode(ROOT, "", node_id=0)
         self.revision = 0
         self.traces = TraceDb()
-        self.donors: dict[str, DonorProject] = {}
         #: names of the repositories this tree may share with its copies; see
         #: ``clone`` and ``own``
         self.shared: set[str] = set()
@@ -435,7 +437,6 @@ class AssetTree:
                               children=list(self.root.children))
         twin.revision = self.revision
         twin.traces = self.traces.copy()
-        twin.donors = dict(self.donors)
         self.shared = twin.shared = {repo.name for repo in self.repositories}
         return twin
 

@@ -78,8 +78,9 @@ def ensure_folder_path(tree: AssetTree, base: AssetNode, segments: list[str],
 
 
 def update_manifest_asset(tree: AssetTree, repo: AssetNode, adapter,
-                          mutate: Callable, record: OperationRecord) -> None:
-    """Parse, modify and re-emit a repository's manifest file asset."""
+                          slice_dirs: list[str], record: OperationRecord) -> None:
+    """Re-emit a repository's manifest file asset declaring each of
+    `slice_dirs` that it does not declare yet, in order."""
     manifest_node = repo.child_named(MANIFEST_NAME)
     if manifest_node is None:
         manifest_node = tree.new_node(FILE, MANIFEST_NAME, content=[])
@@ -87,7 +88,9 @@ def update_manifest_asset(tree: AssetTree, repo: AssetNode, adapter,
     manifest = adapter.manifest_parse(model.flatten_lines(manifest_node))
     if not manifest.name:
         manifest.name = repo.name
-    mutate(manifest)
+    for slice_dir in slice_dirs:
+        if slice_dir not in manifest.slices:
+            manifest.slices.append(slice_dir)
     new_lines = adapter.manifest_emit(manifest)
     manifest_node.content = new_lines
     manifest_node.children = []
@@ -352,11 +355,7 @@ def _declare_slices(tree: AssetTree, src_repo: AssetNode, tgt_repo: AssetNode,
                     "index": len(tgt_slice.children) - 1,
                     "features": []})
     if missing:
-        def add_slices(manifest):
-            for s in missing:
-                if s not in manifest.slices:
-                    manifest.slices.append(s)
-        update_manifest_asset(tree, tgt_repo, adapter, add_slices, record)
+        update_manifest_asset(tree, tgt_repo, adapter, missing, record)
 
 
 # -- dispatch and transactions -----------------------------------------------

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -77,39 +78,35 @@ class RunConfig:
         value has the wrong type, so a bad config stops the run before it
         writes anything."""
         known = cls().to_dict()
-        checker = _config_value(data, "checker", {}, _optional(dict), "a mapping") or {}
+        value = partial(_config_value, data, known)
+        checker = value("checker", _optional(dict), "a mapping") or {}
         _known_keys(data, known)
         _known_keys(checker, known["checker"], "checker.")
+        checker_value = partial(_config_value, checker, known["checker"], prefix="checker.")
         return cls(
-            max_iterations=_config_value(data, "max_iterations", 200, _whole,
-                                         "a whole number"),
-            termination=_config_value(data, "termination", None, _optional(str),
-                                      "a predicate"),
-            generators=tuple(_config_value(data, "generators", GENERATOR_IDS, _names,
-                                           "a non-empty list of generator names")),
-            distribution=_config_value(data, "distribution", None, _weights,
-                                       "a mapping of generator names to weights"),
-            max_retries=_config_value(data, "max_retries", 50, _whole, "a whole number"),
-            checker_kind=_config_value(checker, "kind", BUNDLED_CHECKER,
-                                       lambda kind: isinstance(kind, str),
-                                       "a checker kind", "checker."),
-            checker_cmd=_config_value(checker, "cmd", None, _optional(str),
-                                      "a shell command", "checker."),
-            checker_timeout_s=_config_value(checker, "timeout_s", 60.0, _real,
-                                            "a number of seconds", "checker."),
-            seed=_config_value(data, "seed", 0, _whole, "a whole number"),
-            sensibility_discard_prob=_config_value(data, "sensibility_discard_prob", 0.5,
-                                                   _real, "a number"),
+            max_iterations=value("max_iterations", _whole, "a whole number"),
+            termination=value("termination", _optional(str), "a predicate"),
+            generators=tuple(value("generators", _names,
+                                   "a non-empty list of generator names")),
+            distribution=value("distribution", _weights,
+                               "a mapping of generator names to weights"),
+            max_retries=value("max_retries", _whole, "a whole number"),
+            checker_kind=checker_value("kind", lambda kind: isinstance(kind, str),
+                                       "a checker kind"),
+            checker_cmd=checker_value("cmd", _optional(str), "a shell command"),
+            checker_timeout_s=checker_value("timeout_s", _real, "a number of seconds"),
+            seed=value("seed", _whole, "a whole number"),
+            sensibility_discard_prob=value("sensibility_discard_prob", _real, "a number"),
         )
 
 
 # -- config value types ------------------------------------------------------
 
-def _config_value(data: dict, key: str, default, ok: Callable[[object], bool],
-                  expected: str, prefix: str = ""):
-    """``data[key]``, or `default` when the key is unset; raises EvogenError
-    naming the key when the value fails `ok`."""
-    value = data.get(key, default)
+def _config_value(data: dict, defaults: dict, key: str,
+                  ok: Callable[[object], bool], expected: str, prefix: str = ""):
+    """``data[key]``, or ``defaults[key]`` when the key is unset; raises
+    EvogenError naming the key when the value fails `ok`."""
+    value = data.get(key, defaults[key])
     if not ok(value):
         raise EvogenError(f"config {prefix}{key}: expected {expected}, got {value!r}")
     return value
@@ -293,11 +290,12 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
         tree = parse_initial_system(Path(system_path))
     except (OSError, EvogenError) as exc:
         raise InvalidInitialSystem(str(exc)) from exc
+    donors = {}
     for donor_path in donor_paths:
         donor = load_donor(Path(donor_path), adapter)
-        if donor.id in tree.donors:
+        if donor.id in donors:
             raise InvalidInitialSystem(f"duplicate donor id {donor.id!r}")
-        tree.donors[donor.id] = donor
+        donors[donor.id] = donor
 
     problems = checker(tree)
     if problems:
@@ -309,7 +307,8 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
     debug = open(debug_path, "w", encoding="utf-8", newline="\n")
 
     ctx = GenContext(adapter=adapter,
-                     sensibility_discard_prob=config.sensibility_discard_prob)
+                     sensibility_discard_prob=config.sensibility_discard_prob,
+                     donors=donors)
     summary = RunSummary()
     traces_persisted = 0
 
@@ -328,9 +327,6 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
                     debug.write(f"iter {iteration} {gen_id} attempt {attempt}:"
                                 f" no candidate\n")
                     continue
-                if candidate.kind == "TransplantFeature":
-                    ctx.consumed.add((candidate.params["donor"],
-                                      candidate.params["test_id"]))
                 op_id = f"op{tree.revision + 1:04d}"
                 result = run_in_transaction(tree, candidate.kind,
                                             candidate.params, op_id, checker,

@@ -9,7 +9,6 @@ repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -53,98 +52,73 @@ def load_donor(path: Path, adapter) -> DonorProject:
     def under(prefix: str, rel: str) -> bool:
         return rel.startswith(prefix + "/") if prefix else True
 
-    src_files = {r for r in files if under(srcdir, r) and not (testdir and under(testdir, r))}
-    test_files = {r for r in files if testdir and under(testdir, r)}
-
-    def src_rel(rel: str) -> str:
-        return rel[len(srcdir) + 1:] if srcdir else rel
-
-    module_index = {adapter.relpath_to_module(src_rel(r)): r for r in src_files}
+    src_files = sorted(r for r in files
+                       if under(srcdir, r) and not (testdir and under(testdir, r)))
+    test_files = sorted(r for r in files if testdir and under(testdir, r))
+    modules = {adapter.relpath_to_module(_src_rel(srcdir, r)): r for r in src_files}
 
     module_deps: dict[str, frozenset[str]] = {}
     external_uses: dict[str, frozenset[str]] = {}
     externals = set(manifest.deps)
-    for rel in sorted(src_files):
-        deps, ext = _resolve_imports(adapter, files[rel], module_index, externals)
-        if deps is None:
-            raise MissingDependency(f"{donor_id}:{rel}: {ext}")
+    for rel in src_files:
+        deps, ext, missing = _resolve_imports(
+            adapter, adapter.scan_imports(list(files[rel])), modules, externals)
+        if missing is not None:
+            raise MissingDependency(f"{donor_id}:{rel}: unresolved import {missing!r}")
         module_deps[rel] = frozenset(deps)
         external_uses[rel] = frozenset(ext)
 
     candidates: list[TestCandidate] = []
-    for rel in sorted(test_files):
+    for rel in test_files:
         candidates.extend(adapter.scan_tests(rel, list(files[rel])))
 
-    return DonorProject(donor_id, manifest, files, candidates, module_deps,
-                        external_uses)
+    return DonorProject(donor_id, manifest, files, candidates, modules,
+                        module_deps, external_uses)
 
 
-def _resolve_imports(adapter, lines, module_index, externals):
+def _src_rel(srcdir: str, rel: str) -> str:
+    """The donor path `rel` of a source file, relative to the source dir."""
+    return rel[len(srcdir) + 1:] if srcdir else rel
+
+
+def _resolve_imports(adapter, imports, modules, externals):
+    """(donor paths, external modules) that the import lines name, plus the
+    first module that neither the donor nor its externals provide, or None."""
     deps: set[str] = set()
     ext: set[str] = set()
-    for line in adapter.scan_imports(list(lines)):
+    for line in imports:
         module = adapter.import_module(line)
-        if module in module_index:
-            deps.add(module_index[module])
+        if module in modules:
+            deps.add(modules[module])
         elif _external_covers(externals, module):
             ext.add(module)
         else:
-            return None, f"unresolved import {module!r}"
-    return deps, ext
+            return deps, ext, module
+    return deps, ext, None
 
 
 # -- organ extraction --------------------------------------------------------
 
-@dataclass
-class Organ:
-    """Everything needed to re-create a transplanted feature byte-identically."""
-
-    in_file_deps: list[str]              # the test file's import statements
-    slice_files: dict[str, list[str]]    # donor src-relative path -> lines
-    manifest_lines: list[str]            # adapted donor manifest, emitted
-    body: list[str] = field(default_factory=list)
-
-    def to_params(self) -> dict:
-        return {
-            "imports": list(self.in_file_deps),
-            "body": list(self.body),
-            "slice_files": {k: list(v) for k, v in sorted(self.slice_files.items())},
-            "manifest": list(self.manifest_lines),
-        }
-
-
-def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
+def extract_organ(donor: DonorProject, test_id: str, adapter) -> dict:
+    """The ``organ`` param of a TransplantFeature: everything needed to
+    re-create the test's feature byte-identically, namely the test file's
+    import lines, the test body, the module slice (source-dir-relative path
+    -> lines) and the adapted donor manifest."""
     candidate = donor.candidate(test_id)
     if candidate is None:
         raise EvogenError(f"unknown test candidate {test_id!r}")
     if not candidate.modular:
         raise NotModular(test_id)
 
-    srcdir = donor.manifest.extras.get("srcdir", "")
-    testdir = donor.manifest.extras.get("testdir", "")
-
-    def src_rel(rel: str) -> str:
-        return rel[len(srcdir) + 1:] if srcdir else rel
-
-    module_index = {adapter.relpath_to_module(src_rel(r)): r
-                    for r in donor.module_deps}
-    externals = set(donor.manifest.deps)
-
-    roots: set[str] = set()
-    test_externals: set[str] = set()
-    for line in candidate.imports:
-        module = adapter.import_module(line)
-        if module in module_index:
-            roots.add(module_index[module])
-        elif _external_covers(externals, module):
-            test_externals.add(module)
-        else:
-            target = adapter.module_to_relpath(module)
-            where = f"{testdir}/{target}" if testdir else target
-            if where in donor.files:
-                raise MissingDependency(
-                    f"{test_id}: dependency {module!r} lives in the test source set")
-            raise MissingDependency(f"{test_id}: unresolved import {module!r}")
+    roots, used_externals, missing = _resolve_imports(
+        adapter, candidate.imports, donor.modules, set(donor.manifest.deps))
+    if missing is not None:
+        testdir = donor.manifest.extras.get("testdir", "")
+        target = adapter.module_to_relpath(missing)
+        if (f"{testdir}/{target}" if testdir else target) in donor.files:
+            raise MissingDependency(
+                f"{test_id}: dependency {missing!r} lives in the test source set")
+        raise MissingDependency(f"{test_id}: unresolved import {missing!r}")
 
     slice_set: set[str] = set()
     frontier = sorted(roots)
@@ -155,20 +129,19 @@ def extract_organ(donor: DonorProject, test_id: str, adapter) -> Organ:
         slice_set.add(rel)
         frontier.extend(sorted(donor.module_deps.get(rel, ())))
 
-    used_externals = set(test_externals)
     for rel in slice_set:
         used_externals |= donor.external_uses.get(rel, frozenset())
 
     # the donor manifest keeps its name and slices; deps become those the organ uses
     fragment = ManifestModel(name=donor.manifest.name, deps=sorted(used_externals),
                              slices=list(donor.manifest.slices))
-    body = list(donor.files[candidate.file][candidate.body_start:candidate.body_end + 1])
-    return Organ(
-        in_file_deps=list(candidate.imports),
-        slice_files={src_rel(r): list(donor.files[r]) for r in sorted(slice_set)},
-        manifest_lines=adapter.manifest_emit(fragment),
-        body=body,
-    )
+    srcdir = donor.manifest.extras.get("srcdir", "")
+    return {
+        "imports": list(candidate.imports),
+        "body": list(donor.files[candidate.file][candidate.body_start:candidate.body_end + 1]),
+        "slice_files": {_src_rel(srcdir, r): list(donor.files[r]) for r in sorted(slice_set)},
+        "manifest": adapter.manifest_emit(fragment),
+    }
 
 
 # -- integration -------------------------------------------------------------
@@ -177,12 +150,18 @@ def legal_insertion_points(repo: AssetNode, adapter) -> list[tuple[str, int]]:
     """(file path, line index) pairs inside method-level blocks of the
     initial-system portion of `repo`, read from its kept render in its order.
     A path is the file's render path, ``<repo>/<folder>/.../<file>``;
-    manifests and everything at or under ``<repo>/slices`` are left out."""
-    slices = f"{repo.name}/{SLICES_DIR}/"
+    manifests and every path in a slice (see ``_in_slice``) are left out."""
     return [(path, idx) for path, data in _repo_files(repo).items()
             if data and path.rpartition("/")[2] != MANIFEST_NAME
-            and not (path + "/").startswith(slices)
+            and not _in_slice(repo, path)
             for idx in adapter.insertion_points(utf8_text(data, path).splitlines())]
+
+
+def _in_slice(repo: AssetNode, path: str) -> bool:
+    """True when `path`, a render path ``<repo>/...``, lies at or under
+    ``<repo>/slices``, where every transplanted slice goes: no organ is
+    inserted there."""
+    return (path + "/").startswith(f"{repo.name}/{SLICES_DIR}/")
 
 
 def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
@@ -206,10 +185,10 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
     parent = resolve_asset_ref(tree, parent_ref)
     if parent.kind != FILE or parent.name == MANIFEST_NAME or parent_ref.index_path:
         raise ForbiddenInsertionPoint(params["insertion_parent"])
-    segments = parent_ref.fs_path.strip("/").split("/")
-    if segments[0] != repo.name:
+    path = parent_ref.fs_path.strip("/")
+    if path.split("/")[0] != repo.name:
         raise ForbiddenInsertionPoint("insertion point outside target repository")
-    if SLICES_DIR in segments[1:-1]:
+    if _in_slice(repo, path):
         raise ForbiddenInsertionPoint("insertion point inside a project slice")
 
     # (1) guard-wrapped test body and imports become new block assets
@@ -262,13 +241,7 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         mapped_assets.append(node)
 
     # (3) the evolving system's manifest gains a dependency on the slice
-    slice_dir = f"{SLICES_DIR}/{donor_id}"
-
-    def add_slice(manifest):
-        if slice_dir not in manifest.slices:
-            manifest.slices.append(slice_dir)
-
-    update_manifest_asset(tree, repo, adapter, add_slice, record)
+    update_manifest_asset(tree, repo, adapter, [f"{SLICES_DIR}/{donor_id}"], record)
 
     # (4) the adapted donor manifest becomes a new asset inside the slice
     if slice_root.child_named(MANIFEST_NAME) is None:

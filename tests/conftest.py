@@ -153,11 +153,15 @@ def donor_dir(tmp_path):
 
 
 @pytest.fixture
-def loaded_tree(initial_system, donor_dir, adapter):
-    tree = parse_initial_system(initial_system)
+def initial_tree(initial_system):
+    return parse_initial_system(initial_system)
+
+
+@pytest.fixture
+def donors(donor_dir, adapter):
+    """The donor projects of a run by id, as ``GenContext.donors`` holds them."""
     donor = load_donor(donor_dir, adapter)
-    tree.donors[donor.id] = donor
-    return tree
+    return {donor.id: donor}
 
 
 # -- in-memory tree builders -------------------------------------------------

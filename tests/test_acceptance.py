@@ -307,7 +307,7 @@ def _oracle_slice_closure(rng, scratch: Path):
                 if d not in expected:
                     expected.add(d)
                     changed = True
-    return set(organ.slice_files) == {f"m{i}.mini" for i in expected}
+    return set(organ["slice_files"]) == {f"m{i}.mini" for i in expected}
 
 
 def _oracle_clone_feature_enum(rng):

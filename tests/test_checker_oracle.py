@@ -189,7 +189,13 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, oracle_corpus, tmp_pat
     outcomes = {"committed": 0, "rolled back": 0}
     changed: list[tuple[int, str]] = []
     copies: list[model.AssetTree] = []
+    loaded: list = []
     owned_count = 0
+    real_load_donor = runner.load_donor
+
+    def recording_load_donor(*args):
+        loaded.append(real_load_donor(*args))
+        return loaded[-1]
 
     def recording_clone(tree):
         copies.append(real_clone(tree))
@@ -216,15 +222,11 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, oracle_corpus, tmp_pat
         return {"render": _tree_files(tree),
                 "feature state": reference_feature_state(tree),
                 "traces": list(tree.traces.traces),
-                "donors": {k: copy.deepcopy(vars(d)) for k, d in tree.donors.items()}}
-
-    def same_objects(a, b):
-        return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+                "donors": [copy.deepcopy(vars(d)) for d in loaded]}
 
     def checked_transaction(tree, *args, **kwargs):
         nonlocal owned_count
         before = state(tree)
-        donors = dict(tree.donors)
         copies.clear()
         result = real_run_in_transaction(tree, *args, **kwargs)
         after = state(tree)
@@ -232,21 +234,19 @@ def test_transaction_leaves_its_input_tree_unchanged(mix, oracle_corpus, tmp_pat
         owned_count += check_sharing(tree, copies[0])
         changed.extend((tree.revision, part) for part in before
                        if before[part] != after[part])
-        if not same_objects(tree.donors, donors):
-            changed.append((tree.revision, "donor objects"))
         if isinstance(result, Committed):
             outcomes["committed"] += 1
-            if not same_objects(result.tree.donors, donors):
-                changed.append((tree.revision, "committed donors are copies"))
         else:
             outcomes["rolled back"] += 1
         return result
 
     monkeypatch.setattr(runner, "run_in_transaction", checked_transaction)
     monkeypatch.setattr(model.AssetTree, "clone", recording_clone)
+    monkeypatch.setattr(runner, "load_donor", recording_load_donor)
     system, donors = oracle_corpus
     summary = run(config, system, donors, tmp_path / "out")
     assert changed == []
     assert outcomes["committed"] == summary.committed_total
     assert outcomes["rolled back"] > 0
     assert owned_count > 0
+    assert len(loaded) == len(donors)

@@ -1,14 +1,19 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import evogen
 from evogen.cli import main
 from evogen.history import LEDGER_KEYS
 
-from conftest import (SPECIAL_ENTRIES, make_special_entry, tamper_ledger, write_donor,
-                      write_initial_system)
+from conftest import (SPECIAL_ENTRIES, VARIANTS_MIX, make_special_entry, tamper_ledger,
+                      write_donor, write_initial_system)
 
 
 @pytest.fixture
@@ -90,6 +95,35 @@ class TestGenerate:
         files_b = {p.relative_to(out_b).as_posix(): p.read_bytes()
                    for p in sorted(out_b.rglob("*")) if p.is_file()}
         assert files_a == files_b
+
+    def test_byte_identical_across_processes_and_hash_seeds(self, tmp_path):
+        """Two processes with different string hash seeds write the same
+        bytes, run.json and debug.log included, on a clone-heavy mix: no
+        output follows the iteration order of a set or of a hash."""
+        system = write_initial_system(tmp_path / "in")
+        donors = [write_donor(tmp_path / "donors", f"donor{i}", tests=12, modules=4)
+                  for i in range(2)]
+        config = tmp_path / "config.yaml"
+        config.write_text("max_iterations: 45\nseed: 2\ndistribution:\n" + "".join(
+            f"  {name}: {weight}\n" for name, weight in VARIANTS_MIX.items()))
+        src = str(Path(evogen.__file__).parents[1])
+        files = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"out{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "evogen.cli", "generate",
+                            "--config", str(config), "--system", str(system),
+                            *[arg for d in donors for arg in ("--donor", str(d))],
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            files.append({p.relative_to(out).as_posix():
+                          p.read_bytes() if p.is_file() else None
+                          for p in sorted(out.rglob("*"))})
+        assert {"run.json", "debug.log"} <= set(files[0])
+        assert files[0] == files[1]
+        kinds = {json.loads(line)["kind"]
+                 for line in files[0]["ledger.ndjson"].decode().splitlines()}
+        assert {"CloneFeature", "TransplantFeature"} <= kinds
 
     @pytest.mark.parametrize("content,reason", [
         (b"max_iterations: 5\n\xff\n", "not UTF-8 text"),

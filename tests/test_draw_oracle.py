@@ -127,8 +127,8 @@ def reference_transplant(tree, rng, ctx):
     """The transplant draw as a walk and a search: every file of the drawn
     repository outside its slices flattened, and the insertion parent's ref
     minted by ``make_asset_ref``."""
-    pool = [(donor_id, cand) for donor_id in sorted(tree.donors)
-            for cand in tree.donors[donor_id].test_candidates
+    pool = [(donor_id, cand) for donor_id in sorted(ctx.donors)
+            for cand in ctx.donors[donor_id].test_candidates
             if cand.modular and (donor_id, cand.id) not in ctx.consumed]
     if not pool:
         return None
@@ -144,16 +144,16 @@ def reference_transplant(tree, rng, ctx):
     if not points:
         return None
     target, idx = points[rng.randrange(len(points))]
+    ctx.consumed.add((donor_id, cand.id))
     try:
-        organ = extract_organ(tree.donors[donor_id], cand.id, ctx.adapter)
+        organ = extract_organ(ctx.donors[donor_id], cand.id, ctx.adapter)
     except EvogenError:
-        ctx.consumed.add((donor_id, cand.id))
         return None
     return CandidateOperation("TransplantFeature", {
         "repo": repo.name, "donor": donor_id, "test_id": cand.id,
         "test_name": cand.name,
         "insertion_parent": make_asset_ref(tree, target).to_text(),
-        "insertion_index": idx, "organ": organ.to_params()})
+        "insertion_index": idx, "organ": organ})
 
 
 def reference_loc(tree):
@@ -229,11 +229,11 @@ def test_loc_walks_nothing(seed, monkeypatch):
     assert loc_per_variant(tree) == expected
 
 
-def test_transplant_draw_walks_nothing(loaded_tree, adapter, monkeypatch):
-    ctx = GenContext(adapter=adapter)
+def test_transplant_draw_walks_nothing(initial_tree, donors, adapter, monkeypatch):
+    ctx = GenContext(adapter=adapter, donors=donors)
     rng = random.Random("transplant")
-    expected = _reference_outcome(loaded_tree, rng, ctx)
+    expected = _reference_outcome(initial_tree, rng, ctx)
     assert expected[0] is not None
     _forbid_walks_and_searches(monkeypatch)
-    candidate = generators.gen_transplant(loaded_tree, rng, ctx)
+    candidate = generators.gen_transplant(initial_tree, rng, ctx)
     assert (candidate, rng.getstate(), ctx.consumed) == expected

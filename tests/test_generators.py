@@ -16,8 +16,8 @@ from conftest import build_repo
 
 
 @pytest.fixture
-def ctx():
-    return GenContext(adapter=MinilangAdapter())
+def ctx(donors):
+    return GenContext(adapter=MinilangAdapter(), donors=donors)
 
 
 def featured_tree(features=("F", "G")):
@@ -31,15 +31,15 @@ def featured_tree(features=("F", "G")):
 
 class TestDeterminism:
     @pytest.mark.parametrize("gen_id", GENERATOR_IDS)
-    def test_same_seed_same_candidate(self, ctx, gen_id, loaded_tree):
-        tree = loaded_tree
+    def test_same_seed_same_candidate(self, ctx, gen_id, initial_tree):
+        tree = initial_tree
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, tree.repositories[0]).to_text(),
                    "new_name": "calc_v1"}, "op0")
         tree.revision += 1
         a = generate(gen_id, tree, random.Random("s"), ctx)
         b = generate(gen_id, tree, random.Random("s"),
-                     GenContext(adapter=ctx.adapter))
+                     GenContext(adapter=ctx.adapter, donors=ctx.donors))
         assert a == b
 
 
@@ -97,21 +97,21 @@ class TestMutations:
 
 
 class TestTransplant:
-    def test_candidate_fields(self, ctx, loaded_tree):
-        cand = gen_transplant(loaded_tree, random.Random(1), ctx)
+    def test_candidate_fields(self, ctx, initial_tree):
+        cand = gen_transplant(initial_tree, random.Random(1), ctx)
         assert cand is not None and cand.kind == "TransplantFeature"
         assert cand.params["donor"] == "widget"
         assert "organ" in cand.params and cand.params["organ"]["body"]
 
-    def test_consumed_pool_shrinks_to_none(self, ctx, loaded_tree):
-        donor = loaded_tree.donors["widget"]
+    def test_consumed_pool_shrinks_to_none(self, ctx, initial_tree):
+        donor = ctx.donors["widget"]
         modular = [c for c in donor.test_candidates if c.modular]
         ctx.consumed = {("widget", c.id) for c in modular}
-        assert gen_transplant(loaded_tree, random.Random(0), ctx) is None
+        assert gen_transplant(initial_tree, random.Random(0), ctx) is None
 
-    def test_nonmodular_never_drawn(self, ctx, loaded_tree):
+    def test_nonmodular_never_drawn(self, ctx, initial_tree):
         for i in range(300):
-            cand = gen_transplant(loaded_tree, random.Random(i), ctx)
+            cand = gen_transplant(initial_tree, random.Random(i), ctx)
             assert cand is None or "helper" not in cand.params["test_name"]
 
 

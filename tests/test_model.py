@@ -218,8 +218,8 @@ class TestCopyOnWrite:
         tree = parse_initial_system(write_initial_system(tmp_path / "in"))
         donor = load_donor(write_donor(tmp_path / "donors", "d", tests=12,
                                        modules=4), adapter)
-        tree.donors[donor.id] = donor
-        ctx = GenContext(adapter=adapter, sensibility_discard_prob=0.0)
+        ctx = GenContext(adapter=adapter, sensibility_discard_prob=0.0,
+                         donors={donor.id: donor})
         rng = random.Random(3)
         applied: set[tuple[str, str]] = set()
         for step in range(300):
@@ -229,9 +229,6 @@ class TestCopyOnWrite:
             candidate = generate(rng.choice(GENERATOR_IDS), side, rng, ctx)
             if candidate is None:
                 continue
-            if candidate.kind == "TransplantFeature":
-                ctx.consumed.add((candidate.params["donor"],
-                                  candidate.params["test_id"]))
             before = (_tree_files(other), reference_feature_state(other))
             try:
                 execute(side, candidate.kind, candidate.params, f"op{step}",

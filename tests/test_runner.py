@@ -26,6 +26,10 @@ class TestConfig:
         again = RunConfig.from_dict(config.to_dict())
         assert again == config
 
+    def test_unset_keys_take_the_dataclass_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig.from_dict({"checker": {}}) == RunConfig()
+
     def test_uniform_default_distribution(self):
         dist = RunConfig().resolved_distribution()
         assert set(dist) == set(GENERATOR_IDS)
@@ -73,11 +77,11 @@ class TestSelectGenerator:
 
 
 class TestTermination:
-    def test_parse_and_evaluate(self, loaded_tree):
+    def test_parse_and_evaluate(self, initial_tree):
         pred = parse_termination("repositoryCount >= 1")
-        assert pred(loaded_tree)
+        assert pred(initial_tree)
         pred = parse_termination("totalLoc > 100000")
-        assert not pred(loaded_tree)
+        assert not pred(initial_tree)
         assert parse_termination(None) is None
 
     def test_bad_specs_raise(self):

@@ -25,6 +25,7 @@ class TestLoadDonor:
         assert set(donor.module_deps) == {
             "src/lib/mod0.mini", "src/lib/mod1.mini", "src/lib/mod2.mini"}
         assert donor.module_deps["src/lib/mod2.mini"] == {"src/lib/mod1.mini"}
+        assert donor.modules == {f"lib.mod{i}": f"src/lib/mod{i}.mini" for i in range(3)}
         names = [c.name for c in donor.test_candidates]
         assert names == ["widget_helper_case", "widget_case0", "widget_case1",
                          "widget_case2", "widget_case3"]
@@ -50,8 +51,9 @@ class TestLoadDonor:
     def test_unresolved_source_import_raises(self, tmp_path, adapter):
         donor = write_donor(tmp_path, "bad")
         (donor / "src" / "lib" / "mod1.mini").write_text("import nowhere.x\n")
-        with pytest.raises(MissingDependency):
+        with pytest.raises(MissingDependency) as exc:
             load_donor(donor, adapter)
+        assert str(exc.value) == "bad:src/lib/mod1.mini: unresolved import 'nowhere.x'"
 
     def test_scan_does_not_depend_on_listing_order(self, donor_dir, adapter,
                                                    monkeypatch):
@@ -87,16 +89,16 @@ class TestExtractOrgan:
         case2 = next(c for c in donor.test_candidates if c.name == "widget_case2")
         organ = extract_organ(donor, case2.id, adapter)
         # mod2 -> mod1 -> mod0, donor-src-relative paths
-        assert set(organ.slice_files) == {
+        assert set(organ["slice_files"]) == {
             "lib/mod0.mini", "lib/mod1.mini", "lib/mod2.mini"}
-        assert organ.body[0].strip().startswith("test widget_case2")
-        assert organ.in_file_deps == ["import lib.mod2", "import stdlib.io"]
+        assert organ["body"][0].strip().startswith("test widget_case2")
+        assert organ["imports"] == ["import lib.mod2", "import stdlib.io"]
 
     def test_manifest_adapted_to_used_externals(self, donor_dir, adapter):
         donor = load_donor(donor_dir, adapter)
         case0 = next(c for c in donor.test_candidates if c.name == "widget_case0")
         organ = extract_organ(donor, case0.id, adapter)
-        mani = adapter.manifest_parse(organ.manifest_lines)
+        mani = adapter.manifest_parse(organ["manifest"])
         assert mani.name == "widget"
         assert mani.deps == ["stdlib.io"]
         assert "srcdir" not in mani.extras
@@ -117,7 +119,18 @@ class TestExtractOrgan:
         cand = donor.test_candidates[0]
         with pytest.raises(MissingDependency) as exc:
             extract_organ(donor, cand.id, adapter)
-        assert "test source set" in str(exc.value)
+        assert str(exc.value) == (f"{cand.id}: dependency 'shared' lives in"
+                                  f" the test source set")
+
+    def test_unresolved_test_import_rejected(self, tmp_path, adapter):
+        donor_dir = write_donor(tmp_path, "tdep", tests=1)
+        (donor_dir / "tests" / "t0.mini").write_text("\n".join([
+            "import nowhere.x", "@test", "test tdep_case0 {", "x", "}"]) + "\n")
+        donor = load_donor(donor_dir, adapter)
+        cand = donor.test_candidates[0]
+        with pytest.raises(MissingDependency) as exc:
+            extract_organ(donor, cand.id, adapter)
+        assert str(exc.value) == f"{cand.id}: unresolved import 'nowhere.x'"
 
     @pytest.mark.parametrize("seed", range(50))
     def test_slice_closure_matches_brute_force(self, tmp_path, adapter, seed):
@@ -152,17 +165,14 @@ class TestExtractOrgan:
                     if d not in expected:
                         expected.add(d)
                         changed = True
-        assert set(organ.slice_files) == {f"lib/m{i}.mini" for i in expected}
+        assert set(organ["slice_files"]) == {f"lib/m{i}.mini" for i in expected}
 
 
 class TestIntegration:
     def _system_tree(self, tmp_path, adapter, donor_name="widget"):
         system = write_initial_system(tmp_path / "sys")
         donor_dir = write_donor(tmp_path / "donors", donor_name)
-        tree = parse_initial_system(system)
-        donor = load_donor(donor_dir, adapter)
-        tree.donors[donor.id] = donor
-        return tree, donor
+        return parse_initial_system(system), load_donor(donor_dir, adapter)
 
     def _transplant_params(self, tree, donor, adapter, test_name="widget_case0",
                            repo_name="calc"):
@@ -174,7 +184,7 @@ class TestIntegration:
             "repo": repo_name, "donor": donor.id, "test_id": cand.id,
             "test_name": cand.name,
             "insertion_parent": AssetRef(tree.revision, "/" + path).to_text(),
-            "insertion_index": idx, "organ": organ.to_params(),
+            "insertion_index": idx, "organ": organ,
         }
 
     def test_legal_insertion_points_exclude_manifest_and_slices(
@@ -313,6 +323,23 @@ class TestIntegration:
         with pytest.raises(ForbiddenInsertionPoint):
             apply_transplant_feature(tree, bad, "opY", adapter=adapter)
 
+    def test_every_offered_insertion_point_is_accepted(self, tmp_path, adapter):
+        """Only ``<repo>/slices`` holds slices: a folder of that name further
+        down is ordinary source, offered by the draw and accepted by the
+        operation."""
+        system = write_initial_system(tmp_path / "sys")
+        (system / "src" / "slices").mkdir(parents=True)
+        (system / "src" / "slices" / "x.mini").write_text("def x {\nstep\n}\n")
+        tree = parse_initial_system(system)
+        donor = load_donor(write_donor(tmp_path / "donors", "widget"), adapter)
+        params = self._transplant_params(tree, donor, adapter)
+        points = legal_insertion_points(tree.find_repository("calc"), adapter)
+        assert ("calc/src/slices/x.mini", 2) in points
+        for path, idx in points:
+            apply_transplant_feature(tree.clone(), dict(
+                params, insertion_parent=AssetRef(tree.revision, "/" + path).to_text(),
+                insertion_index=idx), "op1", adapter=adapter)
+
     def test_insertion_parent_with_an_index_path_forbidden(self, tmp_path, adapter):
         # /calc#0 resolves to the repository's first child, a source file,
         # but a file's ref is its filesystem path alone
@@ -331,7 +358,6 @@ class TestIntegration:
         tree, donor = self._system_tree(tmp_path, adapter)
         params = self._transplant_params(tree, donor, adapter)
         fresh = tree.clone()
-        fresh.donors = {}
         apply_transplant_feature(tree, params, "op1", adapter=adapter)
         tree.revision += 1
         apply_transplant_feature(fresh, params, "op1", adapter=adapter)
