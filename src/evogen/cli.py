@@ -87,7 +87,7 @@ def generate(config_data, preset_name, system_path, donor_paths, out_dir, seed):
 
 
 @main.command()
-@click.argument("out_dir", type=click.Path(exists=True))
+@click.argument("out_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--long", "long_format", is_flag=True,
               help="Emit the plot-ready long format instead of the wide table.")
 @click.option("--output", type=click.Path(), default=None,
@@ -107,7 +107,7 @@ def stats(out_dir, long_format, output):
 
 
 @main.command()
-@click.argument("out_dir", type=click.Path(exists=True))
+@click.argument("out_dir", type=click.Path(exists=True, file_okay=False))
 def validate(out_dir):
     """Check every record, snapshot and trace against the replay, and compilability."""
     report = validate_history(Path(out_dir), MinilangAdapter())
@@ -123,7 +123,7 @@ def validate(out_dir):
 
 
 @main.command()
-@click.argument("out_dir", type=click.Path(exists=True))
+@click.argument("out_dir", type=click.Path(exists=True, file_okay=False))
 def replay(out_dir):
     """Re-execute the ledger from revision 0 and report the final state."""
     try:

@@ -31,6 +31,10 @@ The feature state has one encoder too: ``feature_state`` joins the
 repositories' fragments into the bytes of ``features/NNNN.json``, which
 generate writes and validate compares with the stored file byte for byte.  A
 repository's render and fragment are kept on its node (``AssetNode.derived``).
+After a line edit, which owns only the edited file's path
+(``AssetTree.own(name, path)``), the render is re-assembled with that one
+file rendered again, and the fragment is kept unless the file holds a mapped
+sub-file asset.
 """
 
 from __future__ import annotations
@@ -159,8 +163,11 @@ def _file_bytes(node: AssetNode) -> bytes:
 
 
 def _repo_files(repo: AssetNode) -> Snapshot:
-    """The render of one repository, kept on its node."""
-    if "files" not in repo.derived:
+    """The render of one repository, kept on its node.  A render that an
+    edit left (see ``model._carried``) is re-assembled with the edited
+    files' entries rendered again."""
+    derived = repo.derived
+    if "files" not in derived:
         files: Snapshot = {}
 
         def walk(node: AssetNode, rel: str) -> None:
@@ -173,8 +180,13 @@ def _repo_files(repo: AssetNode) -> Snapshot:
                     files[path] = _file_bytes(child)
 
         walk(repo, repo.name)
-        repo.derived["files"] = files
-    return repo.derived["files"]
+        derived["files"] = files
+    elif "edited" in derived:
+        files = dict(derived["files"])
+        for path, node in derived.pop("edited").items():
+            files[f"{repo.name}/{path}"] = _file_bytes(node)
+        derived["files"] = files
+    return derived["files"]
 
 
 def _tree_files(tree: AssetTree) -> Snapshot:

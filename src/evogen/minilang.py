@@ -12,20 +12,26 @@ every language-specific hook the engine needs:
 * the manifest is a ``project.manifest`` file of ``key: value`` lines with the
   keys ``name``, ``deps``, ``slices``, ``srcdir``, ``testdir``
 
-``check_repository`` checks a repository in one pass over its files, taking
-each source's facts (``file_facts``) and module, then resolves the imports.
+``check_repository`` checks a repository in two steps: ``check_context``
+reads the manifests and the source paths once, then ``source_problems`` takes
+each source's facts (``file_facts``) and resolves its imports.  Disk snapshots
+(``check_files``) and kept renders (``check_tree``) run the same two steps;
+``check_tree`` keeps the context and each source's problems on the
+repository's node.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Collection, Optional
 
 from .errors import ManifestParseError, utf8_text
 from .history import Snapshot, _read_snapshot, _repo_files
-from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
+from .model import (MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
+                    TestCandidate)
 
 SOURCE_SUFFIX = ".mini"
 
@@ -196,53 +202,83 @@ def _subdir(entry: str) -> Optional[str]:
     return "".join(p + "/" for p in parts)
 
 
-def check_repository(files: dict[str, list[str]], adapter: MinilangAdapter) -> list[str]:
-    """Problems of one repository, given as repository-relative path ->
-    lines of its sources and manifests; empty means compilable.
+@dataclass(frozen=True)
+class CheckContext:
+    """What a repository's manifests and source paths tell its check: the
+    manifests' problems, the externals they list, the slice and host module
+    sets, and each source path with whether it lies in a slice, in check
+    order.  A root manifest that does not parse is the only problem, and
+    leaves no source to check."""
 
-    One pass over the sources, in path-part order, takes each file's facts
-    and adds its module to the slices' set when it lies under a slice root,
-    else to the host's when under ``srcdir``.  Then the imports resolve: a
-    slice file against the slices' modules, a host file against both sets,
-    and either one against the externals the repository's manifests list."""
+    problems: tuple[str, ...]
+    externals: frozenset[str] = frozenset()
+    slice_modules: frozenset[str] = frozenset()
+    host_modules: frozenset[str] = frozenset()
+    sources: tuple[tuple[str, bool], ...] = ()
+
+
+def check_context(paths: Collection[str], read: Callable[[str], list[str]],
+                  adapter: MinilangAdapter) -> CheckContext:
+    """The first step of a repository's check, from its repository-relative
+    file `paths` and `read`, which gives the lines of the manifests among
+    them.  Sources are taken in path-part order; a source's module joins
+    the slices' set when it lies under a slice root, else the host's when
+    under ``srcdir``.  The host resolves against both sets."""
     manifest = ManifestModel(name="")
-    if MANIFEST_NAME in files:
+    if MANIFEST_NAME in paths:
         try:
-            manifest = adapter.manifest_parse(files[MANIFEST_NAME])
+            manifest = adapter.manifest_parse(read(MANIFEST_NAME))
         except ManifestParseError as exc:
-            return [f"{MANIFEST_NAME}: {exc}"]
+            return CheckContext((f"{MANIFEST_NAME}: {exc}",))
 
     problems: list[str] = []
     externals = set(manifest.deps)
     slice_roots = [r for r in map(_subdir, manifest.slices) if r is not None]
     for root in slice_roots:
         smani = root + MANIFEST_NAME
-        if smani in files:
+        if smani in paths:
             try:
-                externals |= set(adapter.manifest_parse(files[smani]).deps)
+                externals |= set(adapter.manifest_parse(read(smani)).deps)
             except ManifestParseError as exc:
                 problems.append(f"{smani}: {exc}")
 
     src_root = _subdir(manifest.extras.get("srcdir", ""))
-    slice_modules, host_modules, facts = set(), set(), []
-    for path in sorted((p for p in files if adapter.is_source_file(p.rpartition("/")[2])),
+    slice_modules, host_modules, sources = set(), set(), []
+    for path in sorted((p for p in paths if adapter.is_source_file(p.rpartition("/")[2])),
                        key=lambda p: p.split("/")):
         roots = [r for r in slice_roots if path.startswith(r)]
         slice_modules.update(adapter.relpath_to_module(path[len(r):]) for r in roots)
         if not roots and src_root is not None and path.startswith(src_root):
             host_modules.add(adapter.relpath_to_module(path[len(src_root):]))
-        facts.append((path, bool(roots), *adapter.file_facts(path, files[path])))
-    host_modules |= slice_modules
+        sources.append((path, bool(roots)))
+    return CheckContext(tuple(problems), frozenset(externals), frozenset(slice_modules),
+                        frozenset(host_modules | slice_modules), tuple(sources))
 
-    for path, in_slice, brace, imports in facts:
-        if brace is not None:
-            problems.append(brace)
-        resolvable = slice_modules if in_slice else host_modules
-        for line in imports:
-            module = adapter.import_module(line)
-            if module not in resolvable and not _external_covers(externals, module):
-                problems.append(f"{path}: unresolved {line!r}")
+
+def source_problems(context: CheckContext, path: str, in_slice: bool,
+                    lines: list[str], adapter: MinilangAdapter) -> list[str]:
+    """The second step, once per source of `context`: the source's brace
+    problem and its imports that resolve neither against the module set its
+    place allows nor against the externals."""
+    brace, imports = adapter.file_facts(path, lines)
+    problems = [] if brace is None else [brace]
+    resolvable = context.slice_modules if in_slice else context.host_modules
+    for line in imports:
+        module = adapter.import_module(line)
+        if module not in resolvable and not _external_covers(context.externals, module):
+            problems.append(f"{path}: unresolved {line!r}")
     return problems
+
+
+def check_repository(files: dict[str, list[str]], adapter: MinilangAdapter) -> list[str]:
+    """Problems of one repository, given as repository-relative path ->
+    lines of its sources and manifests; empty means compilable: the
+    context's problems, then each source's, in the context's order."""
+    context = check_context(files, files.__getitem__, adapter)
+    return [*context.problems,
+            *(problem for path, in_slice in context.sources
+              for problem in source_problems(context, path, in_slice, files[path],
+                                             adapter))]
 
 
 def check_files(files: Snapshot, adapter: MinilangAdapter) -> list[str]:
@@ -290,6 +326,30 @@ def check_tree(tree: AssetTree, adapter: MinilangAdapter) -> list[str]:
     problems = []
     for repo in sorted(tree.repositories, key=attrgetter("name")):
         if "problems" not in repo.derived:
-            repo.derived["problems"] = check_files(_repo_files(repo), adapter)
+            repo.derived["problems"] = _kept_problems(repo, adapter)
         problems.extend(repo.derived["problems"])
     return problems
+
+
+def _kept_problems(repo: AssetNode, adapter: MinilangAdapter) -> list[str]:
+    """A repository's problems, joined from its check context and its
+    sources' problems, each kept on its node; a value an edit dropped (see
+    ``model._carried``) is computed again from the render."""
+    kept = repo.derived
+    files = _repo_files(repo)
+    prefix = f"{repo.name}/"
+
+    def read(path: str) -> list[str]:
+        return files[prefix + path].decode("utf-8").splitlines()
+
+    if "context" not in kept:
+        kept["context"] = check_context(
+            {rel[len(prefix):] for rel, data in files.items() if data is not None},
+            read, adapter)
+    context = kept["context"]
+    sources = kept.setdefault("sources", {})
+    for path, in_slice in context.sources:
+        if path not in sources:
+            sources[path] = source_problems(context, path, in_slice, read(path), adapter)
+    return [prefix + problem for problem in context.problems] + [
+        prefix + problem for path, _ in context.sources for problem in sources[path]]

@@ -108,8 +108,13 @@ class AssetNode:
     children: list["AssetNode"] = field(default_factory=list)
     mapped_features: set[tuple[str, ...]] = field(default_factory=set)
     feature_model: Optional[FeatureModel] = None
-    #: values computed from a repository's subtree, valid while the node
-    #: lives: no copy inherits them and ``AssetTree.own`` clears them
+    #: values computed from a repository's subtree and kept on its node:
+    #: ``files`` (its render), ``context`` and ``sources`` (what its
+    #: manifests and source paths tell the check, and each source's
+    #: problems), ``problems`` and ``fragment`` (its feature-state text).
+    #: ``edited`` names the files whose entries of ``files`` an edit made
+    #: stale.  ``_copy_node`` keeps none of them; ``AssetTree.own`` keeps
+    #: those that ``_carried`` says the change leaves valid
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     def iter_nodes(self) -> Iterator["AssetNode"]:
@@ -250,14 +255,20 @@ class CloneTrace:
 
 
 class TraceDb:
-    """Append-only store of clone traces."""
+    """Append-only store of clone traces.  Stores made by ``AssetTree.clone``
+    hold one list until either adds to it: its first add copies the list."""
 
     def __init__(self) -> None:
         self.traces: list[CloneTrace] = []
+        #: True while another store may hold ``traces``
+        self._shared = False
 
     def add(self, trace: CloneTrace) -> CloneTrace:
         if trace.source_node == trace.target_node or trace.source_ref == trace.target_ref:
             raise SelfTrace(trace.source_ref)
+        if self._shared:
+            self.traces = list(self.traces)
+            self._shared = False
         self.traces.append(trace)
         return trace
 
@@ -273,10 +284,12 @@ class TraceDb:
     def successors(self, node_id: int) -> list[int]:
         return [t.target_node for t in self.traces if t.source_node == node_id]
 
-    def copy(self) -> "TraceDb":
-        db = TraceDb()
-        db.traces = list(self.traces)
-        return db
+    def share(self) -> "TraceDb":
+        """A store holding this store's list; each copies it on its next add."""
+        twin = TraceDb()
+        twin.traces = self.traces
+        self._shared = twin._shared = True
+        return twin
 
 
 # -- donors ------------------------------------------------------------------
@@ -421,46 +434,123 @@ class AssetTree:
     # copying
 
     def clone(self) -> "AssetTree":
-        """A copy of the tree that shares every repository node with it.
+        """A copy of the tree that shares every repository node and the trace
+        list with it.
 
-        Only the root node and its child list are copied.  Afterwards both
+        Only the root node and its child list are copied; the trace list is
+        copied by the first ``TraceDb.add`` on either side.  Afterwards both
         trees name all repositories in ``shared``.  The write rule holds for
-        every tree, a clone or not: change a repository only after
-        ``own(name)``, and look up every node you change anew after that
-        call, since nodes found before it may belong to a shared copy.  A
-        repository that is only read needs no ``own``, so the refs and
-        parents that one walk of it finds stay valid while it is not owned.
+        every tree, a clone or not: change a repository only after ``own``,
+        and look up every node you change anew after that call, since nodes
+        found before it may belong to a shared copy.  After ``own(name)``
+        any node of the repository may change; after ``own(name, path)``
+        only the content of the file at `path`: its lines and its sub-file
+        nodes.  A repository that is only read needs no ``own``, so the refs
+        and parents that one walk of it finds stay valid while it is not
+        owned.
         """
         twin = AssetTree.__new__(AssetTree)
         twin._next_id = self._next_id
         twin.root = AssetNode(self.root.kind, self.root.name, self.root.node_id,
                               children=list(self.root.children))
         twin.revision = self.revision
-        twin.traces = self.traces.copy()
+        twin.traces = self.traces.share()
         self.shared = twin.shared = {repo.name for repo in self.repositories}
         return twin
 
-    def own(self, name) -> None:
+    def own(self, name, path: Optional[str] = None) -> None:
         """The write barrier: call it before repository `name` is changed.
 
         While `name` is shared (see ``clone``), the repository is replaced in
         this tree by a copy with the same node ids, so traces, refs and
-        ``corresponding_asset`` still match, and the name leaves this tree's
-        ``shared`` only; a copy that shares the set is not affected.  A
-        repository the tree already owns is changed in place, so its
-        ``derived`` values are cleared.  Any other name, a malformed one
+        ``corresponding_asset`` still match.  Without `path` the copy is
+        whole, and the name leaves this tree's ``shared`` only; a copy that
+        shares the set is not affected.  With `path`, a repository-relative
+        file path such as ``src/a.mini`` that names one file other than a
+        manifest, only the repository node, the folders on the path and the
+        file's subtree are copied, every other node stays shared, and so
+        does the name.  A repository the tree does not share is changed in
+        place.  Either way the repository keeps the ``derived`` values that
+        ``_carried`` says the change leaves valid.  A `path` that names no
+        such file owns the whole repository.  Any other name, a malformed one
         included, is left alone: this never raises, so a bad ref fails where
         it is resolved.
         """
         children = self.root.children
         for i, repo in enumerate(children):
             if repo.kind == REPOSITORY and repo.name == name:
-                if name in self.shared:
+                trail = None if path is None else _file_trail(repo, path)
+                if name not in self.shared:
+                    repo.derived = _carried(repo.derived, path,
+                                            trail[-1][1] if trail else None)
+                elif trail:
+                    children[i] = _copy_path(repo, path, trail)
+                else:
                     children[i] = _copy_node(repo, attrgetter("node_id"))
                     self.shared = self.shared - {name}
-                else:
-                    repo.derived.clear()
                 return
+
+
+def _file_trail(repo: AssetNode, path: str) -> Optional[list[tuple[int, AssetNode]]]:
+    """(position, node) of each node below `repo` on the repository-relative
+    `path`, found as ``refs.resolve_asset_ref`` finds them, when the path
+    names a file other than a manifest and each of its names is one child's
+    only; else None."""
+    trail, node = [], repo
+    for name in path.split("/"):
+        found = [(i, c) for i, c in enumerate(node.children) if c.name == name]
+        if len(found) != 1 or found[0][1].kind not in FS_KINDS:
+            return None
+        trail.append(found[0])
+        node = found[0][1]
+    return trail if node.kind == FILE and node.name != MANIFEST_NAME else None
+
+
+def _copy_path(repo: AssetNode, path: str,
+               trail: list[tuple[int, AssetNode]]) -> AssetNode:
+    """A copy of `repo` that shares every node with it except the nodes on
+    `trail` (see ``_file_trail``) and the file's subtree, each copy numbered
+    as its original; the copy keeps the values ``_carried`` keeps."""
+    top = node = _copy_one(repo)
+    for position, child in trail[:-1]:
+        node.children[position] = node = _copy_one(child)
+    position, file = trail[-1]
+    node.children[position] = file = _copy_node(file, attrgetter("node_id"))
+    top.derived = _carried(repo.derived, path, file)
+    return top
+
+
+def _copy_one(node: AssetNode) -> AssetNode:
+    """A copy of one node with its child list, sharing the children and the
+    feature model."""
+    return AssetNode(node.kind, node.name, node.node_id, None, list(node.children),
+                     set(node.mapped_features), node.feature_model)
+
+
+def _carried(derived: dict, path: Optional[str] = None,
+             file: Optional[AssetNode] = None) -> dict:
+    """The carry rule: the ``derived`` values of a repository that remain
+    valid when the content of its `file`, at the repository-relative `path`,
+    changes, and no other node does.  Without a file, no value remains.
+
+    A content edit adds, removes and renames no file, and the file is no
+    manifest, so the check context stays, and every source's problems but
+    the file's own.  The render stays with the file's entry marked
+    ``edited``; the repository's problem list goes.  The fragment stays
+    when no sub-file node of the file is mapped, since an edit shifts index
+    paths only inside the file."""
+    if file is None:
+        return {}
+    kept = {key: derived[key] for key in ("context", "fragment") if key in derived}
+    if "files" in derived:
+        kept["files"] = derived["files"]
+        kept["edited"] = {**derived.get("edited", {}), path: file}
+    if "sources" in derived:
+        kept["sources"] = {p: v for p, v in derived["sources"].items() if p != path}
+    if "fragment" in kept and any(n.mapped_features for n in file.iter_nodes()
+                                  if n is not file):
+        del kept["fragment"]
+    return kept
 
 
 def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNode:
@@ -473,4 +563,3 @@ def _copy_node(node: AssetNode, node_id: Callable[[AssetNode], int]) -> AssetNod
         [_copy_node(c, node_id) for c in node.children],
         set(node.mapped_features),
         None if node.feature_model is None else node.feature_model.copy())
-

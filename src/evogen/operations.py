@@ -172,7 +172,9 @@ def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
     record = OperationRecord(op_id, "MutateAsset", dict(params),
                              tree.revision, tree.revision + 1)
     ref = AssetRef.from_text(params["target"])
-    tree.own(_repository_name(ref.fs_path))
+    # a line edit changes one file's content: own that file's path only
+    name, _, path = ref.fs_path.strip("/").partition("/")
+    tree.own(name, path)
     target = resolve_asset_ref(tree, ref)
     if target.kind != FILE or target.name == MANIFEST_NAME:
         raise NotMutable(target.name)
@@ -392,9 +394,11 @@ def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,
 
     Returns Committed (with the new tree at revision + 1) or RolledBack; the
     input tree is never touched.  The scratch copy shares every repository
-    with the input tree, and each handler calls ``scratch.own(name)`` for
-    the repository it changes before it resolves any ref into it; so every
-    other repository keeps its nodes and the values kept on them.
+    with the input tree, and each handler calls ``scratch.own`` for the
+    repository it changes before it resolves any ref into it; so every
+    other repository keeps its nodes and the values kept on them.  A line
+    edit owns only its file's path, so the rest of its repository stays
+    shared too, and the gate checks that one file again.
     """
     scratch = tree.clone()
     try:

@@ -619,3 +619,14 @@ class TestBrokenInputEndsWithoutTraceback:
         assert isinstance(result.exception, SystemExit)
         assert f"neither a regular file nor a directory: {entry}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "stats", "replay"])
+    def test_a_file_for_the_history_directory_exit_two(self, runner, tmp_path, command):
+        path = tmp_path / "afile"
+        path.write_text("not a history\n")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is a file" in result.output
+        assert path.read_text() == "not a history\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]

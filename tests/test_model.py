@@ -264,3 +264,77 @@ class TestCopyOnWrite:
         assert twin.find_repository(first.name) is mine
         for name in ("missing", None, ["a"], ""):
             twin.own(name)  # never raises
+
+    def test_own_by_path_copies_the_path_and_keeps_node_ids(self):
+        tree = AssetTree()
+        repo = build_repo(tree, "r", {"project.manifest": ["name: r"], "a.mini": ["x"],
+                                      "d/e/b.mini": ["y", "z"], "d/c.mini": ["w"]})
+        twin = tree.clone()
+        twin.own("r", "d/e/b.mini")
+        mine = twin.find_repository("r")
+        assert [n.node_id for n in mine.iter_nodes()] == \
+            [n.node_id for n in repo.iter_nodes()]
+        on_path = {"r", "d", "e", "b.mini"}
+        for old, new in zip(repo.iter_nodes(), mine.iter_nodes()):
+            assert (old is not new) == (old.name in on_path), old.name
+        assert mine.feature_model is repo.feature_model
+        # the repository stays shared, so the next path is copied too
+        assert "r" in twin.shared and "r" in tree.shared
+        twin.own("r", "a.mini")
+        again = twin.find_repository("r")
+        assert again.child_named("a.mini") is not repo.child_named("a.mini")
+        assert again.child_named("d") is mine.child_named("d")
+        assert again.child_named("project.manifest") is repo.child_named("project.manifest")
+        # a path that names no file other than a manifest owns the repository
+        for path in ("project.manifest", "d", "d/missing.mini", "", "a.mini/x"):
+            other = tree.clone()
+            other.own("r", path)
+            whole = other.find_repository("r")
+            assert not {id(n) for n in whole.iter_nodes()} & {id(n) for n in repo.iter_nodes()}
+            assert "r" not in other.shared
+
+    def test_own_keeps_what_a_line_edit_leaves_valid(self):
+        tree = AssetTree()
+        repo = build_repo(tree, "r", {"a.mini": ["x"], "b.mini": ["y"]})
+        repo.feature_model.root.children = [Feature("F", "f")]
+        block = tree.new_node("block", "blk", children=[
+            tree.new_node("line", "", content=["z"])])
+        repo.child_named("b.mini").children = [block]
+        repo.child_named("b.mini").content = None
+        problems, fragment = ["p"], ["frag"]
+        repo.derived.update({"files": {"r": None, "r/a.mini": b"x\n", "r/b.mini": b"z\n"},
+                             "context": object(), "sources": {"a.mini": [], "b.mini": []},
+                             "problems": problems, "fragment": fragment})
+        twin = tree.clone()
+        twin.own("r", "a.mini")
+        kept = twin.find_repository("r").derived
+        assert kept["files"] is repo.derived["files"]
+        assert list(kept["edited"]) == ["a.mini"]
+        assert kept["context"] is repo.derived["context"]
+        assert kept["sources"] == {"b.mini": []}
+        assert kept["fragment"] is fragment and "problems" not in kept
+        # an edit of a file that holds a mapped block drops the fragment
+        block.mapped_features = {("r", "F")}
+        twin = tree.clone()
+        twin.own("r", "b.mini")
+        assert "fragment" not in twin.find_repository("r").derived
+        # in place, the same rule applies to the node itself, and a
+        # repository-wide own keeps nothing
+        tree.shared = set()
+        tree.own("r", "a.mini")
+        assert set(repo.derived) == {"files", "edited", "context", "sources", "fragment"}
+        tree.own("r")
+        assert repo.derived == {}
+
+    def test_clone_shares_the_trace_list_until_either_side_adds(self):
+        tree = AssetTree()
+        tree.traces.add(CloneTrace("op0", "0:/a", "0:/b", 1, 2))
+        twin = tree.clone()
+        assert twin.traces.traces is tree.traces.traces
+        twin.traces.add(CloneTrace("op1", "0:/b", "0:/c", 2, 3))
+        assert [t.op_id for t in tree.traces.traces] == ["op0"]
+        assert [t.op_id for t in twin.traces.traces] == ["op0", "op1"]
+        third = tree.clone()
+        tree.traces.add(CloneTrace("op2", "0:/a", "0:/d", 1, 4))
+        assert [t.op_id for t in third.traces.traces] == ["op0"]
+        assert [t.op_id for t in tree.traces.traces] == ["op0", "op2"]
