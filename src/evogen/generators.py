@@ -47,13 +47,7 @@ class GenContext:
 def gen_remove_feature(tree: AssetTree, rng: random.Random,
                        ctx: GenContext) -> Optional[CandidateOperation]:
     """Uniform over all non-root features across all repositories."""
-    pool = []
-    for repo in tree.repositories:
-        if repo.feature_model is None:
-            continue
-        for feature in repo.feature_model.root.iter_features():
-            if feature is not repo.feature_model.root:
-                pool.append((repo, feature))
+    pool = list(model.nonroot_features(tree))
     if not pool:
         return None
     repo, feature = pool[rng.randrange(len(pool))]
@@ -164,13 +158,14 @@ def clone_feature_triples(tree: AssetTree) -> list[tuple[AssetNode, AssetNode, t
     source."""
     triples = []
     repos = tree.repositories
+    chains = tree.clone_ancestors()
     for src in repos:
         if src.feature_model is None:
             continue
         for tgt in repos:
             if tgt is src or tgt.feature_model is None:
                 continue
-            if not tree.repository_descends_from(src, tgt):
+            if src.node_id not in chains[tgt.node_id]:
                 continue
             tgt_features = list(tgt.feature_model.root.iter_features())
             tgt_origins = {f.origin for f in tgt_features}

@@ -243,6 +243,17 @@ def feature_exclusive_assets(repo: AssetNode,
     return out
 
 
+def nonroot_features(tree: "AssetTree") -> Iterator[tuple[AssetNode, Feature]]:
+    """(repository, feature) for every feature but a model's root: the
+    repositories in order, each model's features in preorder."""
+    for repo in tree.repositories:
+        if repo.feature_model is None:
+            continue
+        for feature in repo.feature_model.root.iter_features():
+            if feature is not repo.feature_model.root:
+                yield repo, feature
+
+
 # -- clone traces ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -280,9 +291,6 @@ class TraceDb:
             elif t.target_node == node_id:
                 out.append(t.source_node)
         return out
-
-    def successors(self, node_id: int) -> list[int]:
-        return [t.target_node for t in self.traces if t.source_node == node_id]
 
     def share(self) -> "TraceDb":
         """A store holding this store's list; each copies it on its next add."""
@@ -398,37 +406,37 @@ class AssetTree:
 
     # trace-based correspondence
 
-    def _trace_reach(self, start: int, step: Callable[[int], list[int]]) -> Iterator[int]:
-        """Node ids reachable from `start` over `step` hops, `start` first,
-        then nearest first."""
-        seen = {start}
-        queue = [start]
-        for cur in queue:  # the queue grows while it is read: breadth-first
-            yield cur
-            for nxt in step(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-
-    def repositories_related(self, repo_a: AssetNode, repo_b: AssetNode) -> bool:
-        """True when a chain of repository clone traces connects the two."""
-        return repo_b.node_id in self._trace_reach(repo_a.node_id, self.traces.neighbors)
-
-    def repository_descends_from(self, source: AssetNode, target: AssetNode) -> bool:
-        """True when `target` was (transitively) cloned from `source`."""
-        return target.node_id in self._trace_reach(source.node_id, self.traces.successors)
+    def clone_ancestors(self) -> dict[int, list[int]]:
+        """Each repository's clone chain, from one pass over the traces:
+        repository node id -> [its id, its source's id, that one's source's
+        id, ...].  It relies on two invariants: only CloneVariant's trace
+        targets a repository node, and no node is the target of two traces."""
+        source = {t.target_node: t.source_node for t in self.traces.traces}
+        chains = {}
+        for repo in self.repositories:
+            chain = [repo.node_id]
+            while chain[-1] in source:
+                chain.append(source[chain[-1]])
+            chains[repo.node_id] = chain
+        return chains
 
     def corresponding_asset(self, node: AssetNode,
                             target_repo: AssetNode) -> Optional[AssetNode]:
         """The first node on the breadth-first clone-trace walk from `node`
-        that lies in `target_repo`, or None.  The walk yields `node` first,
+        that lies in `target_repo`, or None.  The walk visits `node` first,
         so a node of `target_repo` answers for itself.  None means that no
         trace chain reaches the repository: the asset postdates the
         repository clone, or the repositories are unrelated."""
         present = {n.node_id: n for n in target_repo.iter_nodes()}
-        for cur in self._trace_reach(node.node_id, self.traces.neighbors):
+        seen = {node.node_id}
+        queue = [node.node_id]
+        for cur in queue:  # the queue grows while it is read: breadth-first
             if cur in present:
                 return present[cur]
+            for nxt in self.traces.neighbors(cur):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
         return None
 
     # copying

@@ -61,6 +61,20 @@ def _repository_name(fs_path: str) -> str:
     return fs_path.strip("/").split("/")[0]
 
 
+def text_param(value, what: str, name: bool = False) -> str:
+    """`value`, text an operation takes from its params, when it is a line
+    or, with `name`, a repository name; else raises EvogenError.  A line is
+    a str holding no line break, so it renders as one line; a name is a
+    non-empty str holding no "/"."""
+    if name:
+        valid = isinstance(value, str) and value != "" and "/" not in value
+    else:
+        valid = isinstance(value, str) and value.splitlines() in ([value], [])
+    if not valid:
+        raise EvogenError(f"{what} holds {value!r}, not a {'repository name' if name else 'line'}")
+    return value
+
+
 def ensure_folder_path(tree: AssetTree, base: AssetNode, segments: list[str],
                        record: OperationRecord) -> AssetNode:
     node = base
@@ -187,9 +201,9 @@ def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
     if kind == DELETE_LINE:
         model.delete_line(target, idx)
     elif kind == REPLACE_LINE:
-        model.replace_line(target, idx, params["donor_line"])
+        model.replace_line(target, idx, text_param(params["donor_line"], "donor_line"))
     else:
-        model.insert_line(tree, target, idx, params["donor_line"])
+        model.insert_line(tree, target, idx, text_param(params["donor_line"], "donor_line"))
     return record
 
 
@@ -203,7 +217,7 @@ def apply_clone_variant(tree: AssetTree, params: dict, op_id: str,
     source = resolve_asset_ref(tree, AssetRef.from_text(params["source"]))
     if source.kind != REPOSITORY:
         raise EvogenError("clone source must be a repository")
-    new_name = params["new_name"]
+    new_name = text_param(params["new_name"], "new_name", name=True)
     if tree.find_repository(new_name) is not None:
         raise DuplicateRepository(new_name)
     clone = tree.deep_copy_node(source)
@@ -224,7 +238,8 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     tree.own(params.get("target_repo"))
     src_repo = tree.find_repository(params["source_repo"])
     tgt_repo = tree.find_repository(params["target_repo"])
-    if src_repo is None or tgt_repo is None or not tree.repositories_related(src_repo, tgt_repo):
+    roots = {repo_id: chain[-1] for repo_id, chain in tree.clone_ancestors().items()}
+    if src_repo is None or tgt_repo is None or roots[src_repo.node_id] != roots[tgt_repo.node_id]:
         raise UnrelatedRepositories(f"{params['source_repo']} / {params['target_repo']}")
     assert src_repo.feature_model is not None and tgt_repo.feature_model is not None
 
@@ -281,6 +296,8 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
         src_ref = ref.to_text()
         if src_ref in plan:
             index = plan[src_ref]
+            if type(index) is not int or not 0 <= index <= len(tgt_parent.children):
+                raise BadIndex(f"{index!r} in {tgt_parent.name}")
         else:
             index = _default_integration_index(tree, src_parent, asset, tgt_parent, tgt_repo)
         clone = tree.deep_copy_node(asset)

@@ -16,24 +16,15 @@ from pathlib import Path
 
 from .errors import EvogenError
 from .history import _repo_files, replay_history
-from .model import AssetTree
-
-
-def _nonroot_features(tree: AssetTree):
-    for repo in tree.repositories:
-        if repo.feature_model is None:
-            continue
-        for feature in repo.feature_model.root.iter_features():
-            if feature is not repo.feature_model.root:
-                yield repo, feature
+from .model import AssetTree, nonroot_features
 
 
 def distinct_feature_count(tree: AssetTree) -> int:
-    return len({f.origin or id(f) for _, f in _nonroot_features(tree)})
+    return len({f.origin or id(f) for _, f in nonroot_features(tree)})
 
 
 def total_feature_count(tree: AssetTree) -> int:
-    return sum(1 for _ in _nonroot_features(tree))
+    return sum(1 for _ in nonroot_features(tree))
 
 
 def loc_per_variant(tree: AssetTree) -> dict[str, int]:

@@ -21,7 +21,7 @@ from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
 from .operations import (OperationRecord, SLICES_DIR, ensure_folder_path,
-                         update_manifest_asset)
+                         text_param, update_manifest_asset)
 from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
 
 
@@ -178,6 +178,9 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         raise EvogenError(f"unknown repository {params['repo']!r}")
     donor_id = params["donor"]
     organ = params["organ"]
+    for line in [*organ["imports"], *organ["body"], *organ["manifest"],
+                 *(line for lines in organ["slice_files"].values() for line in lines)]:
+        text_param(line, "organ")
 
     # the ref alone places the parent: a file is addressed by its filesystem
     # path, /<repo>/<folder>/.../<file>, and never by an index path
@@ -221,7 +224,6 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         twin = _find_slice_twin(tree, repo, donor_id, rel)
         if twin is not None:
             node = tree.deep_copy_node(twin)
-            node.mapped_features = set()
             for sub in node.iter_nodes():
                 sub.mapped_features = set()
             folder.children.append(node)

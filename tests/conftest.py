@@ -11,7 +11,7 @@ from evogen.minilang import MinilangAdapter
 from evogen.model import (FILE, FOLDER, LINE, MANIFEST_NAME, REPOSITORY, AssetNode,
                           AssetTree, Feature, FeatureModel, ManifestModel)
 from evogen.refs import make_asset_ref
-from evogen.runner import RunConfig, preset
+from evogen.runner import RunConfig, preset, run
 from evogen.transplant import load_donor
 
 
@@ -130,6 +130,18 @@ VARIANTS_MIX = {"removeFeature": 0.05, "mutAdd": 0.15, "mutReplace": 0.15,
 #: declare a slice, map twins and remove assets
 CLONE_FEATURE_MIX = {"removeFeature": 0.1, "mutAdd": 0.1, "transplant": 0.3,
                      "cloneVariant": 0.1, "cloneFeature": 0.4}
+
+
+@pytest.fixture(scope="module")
+def clone_feature_history(oracle_corpus, tmp_path_factory):
+    """A history with AddMapping, CloneAsset, AddAsset and RemoveFeature
+    sub-operations, CloneFeature records and a repository cloned from a
+    clone, for the ledger tampers."""
+    system, donors = oracle_corpus
+    out = tmp_path_factory.mktemp("clone_feature") / "out"
+    run(RunConfig(distribution=CLONE_FEATURE_MIX, max_iterations=40, seed=3),
+        system, donors, out)
+    return out
 
 
 def mix_config(mix: str, iterations: int) -> RunConfig:
@@ -401,10 +413,69 @@ def random_repository(rng: random.Random) -> dict[str, list[str]]:
     return files
 
 
+# -- reference clone lineage -------------------------------------------------
+
+def reference_reach(tree: AssetTree, start: int, directed: bool) -> set[int]:
+    """The node ids a breadth-first walk over the whole trace list reaches
+    from `start`, `start` included, following each trace from its source to
+    its target or, unless `directed`, both ways."""
+    step: dict[int, list[int]] = {}
+    for t in tree.traces.traces:
+        step.setdefault(t.source_node, []).append(t.target_node)
+        if not directed:
+            step.setdefault(t.target_node, []).append(t.source_node)
+    seen, queue = {start}, [start]
+    for cur in queue:
+        for nxt in step.get(cur, []):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def reference_clone_feature_triples(tree: AssetTree) -> list[tuple[str, str, tuple]]:
+    """(source name, target name, feature path) of every feature the
+    cloneFeature draw may move, in the draw's order: the target descends
+    from the source by ``reference_reach``, and no feature of the target
+    shares the feature's origin or name."""
+    triples = []
+    repos = [r for r in tree.repositories if r.feature_model is not None]
+    for src in repos:
+        descendants = reference_reach(tree, src.node_id, directed=True)
+        for tgt in repos:
+            if tgt is src or tgt.node_id not in descendants:
+                continue
+            tgt_feats = list(tgt.feature_model.root.iter_features())
+            for path in src.feature_model.paths()[1:]:
+                f = src.feature_model.find(path)
+                if not any(g.origin == f.origin or g.name == f.name for g in tgt_feats):
+                    triples.append((src.name, tgt.name, path))
+    return triples
+
+
+def lineage_mismatches(tree: AssetTree, chains: dict[int, list[int]]) -> list[tuple[str, str]]:
+    """The ordered repository pairs (a, b) on which `chains`, a map as
+    ``AssetTree.clone_ancestors`` returns it, and ``reference_reach``
+    disagree: on whether b descends from a, or on whether the two are
+    related (their chains end in one root)."""
+    mismatches = []
+    for a in tree.repositories:
+        descendants = reference_reach(tree, a.node_id, directed=True)
+        related = reference_reach(tree, a.node_id, directed=False)
+        for b in tree.repositories:
+            if ((a.node_id in chains[b.node_id]) != (b.node_id in descendants)
+                    or (chains[a.node_id][-1] == chains[b.node_id][-1])
+                    != (b.node_id in related)):
+                mismatches.append((a.name, b.name))
+    return mismatches
+
+
 # -- ledger tampers ----------------------------------------------------------
-# Each changes one ledger record so that every ref it names still resolves;
-# only a replay that compares the record it yields with the stored one sees
-# it.  Each returns the index of the record it changed.
+# Each changes one ledger record and returns the record's index.  Those of
+# TAMPERS before the type tampers leave every ref the record names
+# resolvable, so only a replay that compares the record it yields with the
+# stored one sees them; each type tamper puts a value of the wrong type where
+# the operation takes text from its params, so the replay itself refuses it.
 
 def _first_sub_op(records: list[dict], kind: str, accept=lambda params: True):
     return next((i, sub) for i, record in enumerate(records)
@@ -447,12 +518,41 @@ def _parent_in_source_repo(records: list[dict]) -> int:
     return i
 
 
+def _set_param(kind: str, path: str, value):
+    """A tamper that sets the param at the dotted `path` of the first `kind`
+    record holding it to `value`."""
+    *outer, key = path.split(".")
+
+    def tamper(records: list[dict]) -> int:
+        i, params = next((i, r["params"]) for i, r in enumerate(records)
+                         if r["kind"] == kind and path.partition(".")[0] in r["params"])
+        for name in outer:
+            params = params[name]
+        params[key] = value
+        return i
+    return tamper
+
+
+#: the type tampers: text params of the wrong type
+TYPE_TAMPERS = {
+    "MutateAsset donor_line is 5": _set_param("MutateAsset", "donor_line", 5),
+    "MutateAsset donor_line is a list": _set_param("MutateAsset", "donor_line", ["a", "b"]),
+    "TransplantFeature organ.body holds ints":
+        _set_param("TransplantFeature", "organ.body", [1, 2]),
+    "TransplantFeature organ.imports holds an int":
+        _set_param("TransplantFeature", "organ.imports", [5]),
+    "TransplantFeature organ.manifest holds an int":
+        _set_param("TransplantFeature", "organ.manifest", [3]),
+    "CloneVariant new_name is 5": _set_param("CloneVariant", "new_name", 5),
+}
+
 TAMPERS = {
     "AddMapping asset is /calc/main.mini": _map_main_file,
     "CloneAsset index set to 0": _clone_at_zero,
     "AddAsset name changed": _rename_added_asset,
     "RemoveFeature sub-op dropped": _drop_removal_sub_op,
     "CloneFeature target_parent names the source repository": _parent_in_source_repo,
+    **TYPE_TAMPERS,
 }
 
 

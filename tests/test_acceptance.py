@@ -22,8 +22,8 @@ from evogen.runner import PRESET_NAMES, preset, run, select_generator
 from evogen.stats import compute_metrics
 from evogen.transplant import extract_organ, load_donor
 
-from conftest import (build_repo, random_fs_tree, structurally_equal,
-                      write_donor, write_initial_system)
+from conftest import (build_repo, random_fs_tree, reference_clone_feature_triples,
+                      structurally_equal, write_donor, write_initial_system)
 
 ADAPTER = MinilangAdapter()
 ITERATIONS = 200
@@ -327,22 +327,8 @@ def _oracle_clone_feature_enum(rng):
         if rng.random() < 0.3:
             variant.feature_model.root.children.append(
                 Feature(f"N{variant.name}", f"op_N{variant.name}"))
-    expected = set()
-    for src in tree.repositories:
-        for tgt in tree.repositories:
-            if src is tgt or not tree.repository_descends_from(src, tgt):
-                continue
-            tgt_feats = list(tgt.feature_model.root.iter_features())
-            for path in src.feature_model.paths():
-                if len(path) < 2:
-                    continue
-                f = src.feature_model.find(path)
-                if any(g.origin == f.origin or g.name == f.name
-                       for g in tgt_feats):
-                    continue
-                expected.add((src.name, tgt.name, path))
-    actual = {(s.name, t.name, p) for s, t, p in clone_feature_triples(tree)}
-    return actual == expected
+    actual = [(s.name, t.name, p) for s, t, p in clone_feature_triples(tree)]
+    return actual == reference_clone_feature_triples(tree)
 
 
 def test_criterion_oracle_equivalence(tmp_path):

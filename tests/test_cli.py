@@ -12,8 +12,8 @@ import evogen
 from evogen.cli import main
 from evogen.history import LEDGER_KEYS
 
-from conftest import (SPECIAL_ENTRIES, VARIANTS_MIX, make_special_entry, tamper_ledger,
-                      write_donor, write_initial_system)
+from conftest import (SPECIAL_ENTRIES, TYPE_TAMPERS, VARIANTS_MIX, make_special_entry,
+                      tamper_ledger, write_donor, write_initial_system)
 
 
 @pytest.fixture
@@ -554,6 +554,21 @@ class TestBrokenInputEndsWithoutTraceback:
         for result in (stats, replay):
             assert isinstance(result.exception, SystemExit)
             assert message in result.output
+
+    @pytest.mark.parametrize("name", TYPE_TAMPERS)
+    def test_text_param_of_the_wrong_type(self, runner, clone_feature_history,
+                                          tmp_path, name):
+        out = tmp_path / "out"
+        shutil.copytree(clone_feature_history, out)
+        index = tamper_ledger(out, name)
+        validate, violations, (stats, replay) = self._commands(runner, out)
+        assert validate.exit_code == 1
+        assert [(v["kind"], v["message"].partition(": ")[0]) for v in violations] == [
+            ("replay", f"replay diverged at record {index}")]
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for result in (stats, replay):
+            assert isinstance(result.exception, SystemExit)
+            assert violations[0]["message"] in result.output
 
     def test_revision_zero_file_not_utf8(self, runner, tmp_path):
         _, out = generate_history(runner, tmp_path)

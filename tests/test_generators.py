@@ -12,7 +12,7 @@ from evogen.model import AssetTree, Feature
 from evogen.operations import apply_clone_variant
 from evogen.refs import make_asset_ref
 
-from conftest import build_repo
+from conftest import build_repo, reference_clone_feature_triples
 
 
 @pytest.fixture
@@ -144,22 +144,31 @@ class TestCloneFeature:
     def test_triples_match_brute_force(self):
         tree, r, v1 = self._pruned_variant()
         triples = clone_feature_triples(tree)
-        expected = set()
-        for src in tree.repositories:
-            for tgt in tree.repositories:
-                if src is tgt or not tree.repository_descends_from(src, tgt):
-                    continue
-                tgt_feats = list(tgt.feature_model.root.iter_features())
-                for path in src.feature_model.paths():
-                    if len(path) < 2:
-                        continue
-                    f = src.feature_model.find(path)
-                    if any(g.origin == f.origin or g.name == f.name
-                           for g in tgt_feats):
-                        continue
-                    expected.add((src.name, tgt.name, path))
-        assert {(s.name, t.name, p) for s, t, p in triples} == expected
-        assert expected == {("r", "r_v1", ("r", "F"))}
+        expected = reference_clone_feature_triples(tree)
+        assert [(s.name, t.name, p) for s, t, p in triples] == expected
+        assert expected == [("r", "r_v1", ("r", "F"))]
+
+    @pytest.mark.parametrize("clones", [2, 6])
+    def test_one_pass_over_the_traces(self, clones):
+        """A draw reads the trace list at most once, however many
+        repositories the tree holds."""
+        tree, r, _ = self._pruned_variant()
+        for n in range(clones):
+            source = tree.repositories[n // 2]
+            apply_clone_variant(tree, {"source": make_asset_ref(tree, source).to_text(),
+                                       "new_name": f"c{n}"}, f"clone{n}")
+            tree.revision += 1
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        traces = tree.traces.traces = CountingList(tree.traces.traces)
+        assert clone_feature_triples(tree)
+        assert len(tree.repositories) == clones + 2 and traces.iterations <= 1
 
     def test_candidate_targets_model_root(self, ctx):
         tree, r, v1 = self._pruned_variant()

@@ -21,7 +21,7 @@ from evogen.model import FOLDER, AssetTree, Feature
 from evogen.refs import AssetRef
 from evogen.runner import PRESET_NAMES, RunConfig, preset, run
 
-from conftest import (CLONE_FEATURE_MIX, TAMPERS, build_repo, random_fs_tree,
+from conftest import (TAMPERS, build_repo, random_fs_tree,
                       reference_feature_state, tamper_ledger, write_donor,
                       write_initial_system)
 
@@ -272,17 +272,6 @@ class TestValidate:
         assert "compilability" in kinds
 
 
-@pytest.fixture(scope="module")
-def clone_feature_history(oracle_corpus, tmp_path_factory):
-    """A history with AddMapping, CloneAsset, AddAsset and RemoveFeature
-    sub-operations and CloneFeature records for the ledger tampers."""
-    system, donors = oracle_corpus
-    out = tmp_path_factory.mktemp("clone_feature") / "out"
-    run(RunConfig(distribution=CLONE_FEATURE_MIX, max_iterations=40, seed=3),
-        system, donors, out)
-    return out
-
-
 class TestLedgerTampers:
     """Every ledger record must equal the record its replay yields; each
     tamper leaves every ref resolvable, so nothing else sees it."""
@@ -295,6 +284,14 @@ class TestLedgerTampers:
         "RemoveFeature sub-op dropped": "record differs from its replay in sub_ops",
         "CloneFeature target_parent names the source repository":
             "EvogenError: /calc_v2!calc is not a feature of calc_v2_v1",
+        "MutateAsset donor_line is 5": "EvogenError: donor_line holds 5, not a line",
+        "MutateAsset donor_line is a list":
+            "EvogenError: donor_line holds ['a', 'b'], not a line",
+        "TransplantFeature organ.body holds ints": "EvogenError: organ holds 1, not a line",
+        "TransplantFeature organ.imports holds an int": "EvogenError: organ holds 5, not a line",
+        "TransplantFeature organ.manifest holds an int":
+            "EvogenError: organ holds 3, not a line",
+        "CloneVariant new_name is 5": "EvogenError: new_name holds 5, not a repository name",
     }
 
     def test_untampered_history_validates(self, clone_feature_history, adapter):

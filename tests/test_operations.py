@@ -6,6 +6,7 @@ from evogen import model as m
 from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
                            DuplicateRepository, EvogenError, NotMutable,
                            UnrelatedRepositories)
+from evogen.generators import clone_feature_triples
 from evogen.history import materialize_tree
 from evogen.minilang import MinilangAdapter, check_tree
 from evogen.model import AssetTree, FILE, Feature
@@ -214,6 +215,46 @@ class TestCloneFeature:
                                  FeatureRef.from_text(params[key]).lpq).to_text()
         with pytest.raises(EvogenError, match="is not a feature of"):
             apply_clone_feature(tree, params, "op3")
+
+    @pytest.mark.parametrize("index", [999, -1, True])
+    def test_plan_index_outside_the_parent_raises(self, index):
+        tree, r1, r2 = self._variant_pair()
+        ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        plan = {make_asset_ref(tree, r1.child_named("a.mini")).to_text(): index}
+        with pytest.raises(BadIndex):
+            apply_clone_feature(tree, {
+                "source_repo": "r", "target_repo": "r2",
+                "feature": make_feature_ref(r1, r1.feature_model.find(("r", "F"))).to_text(),
+                "target_parent": make_feature_ref(r2, r2.feature_model.root).to_text(),
+                "plan": plan}, "op3")
+
+    def test_siblings_are_related_but_not_drawn(self):
+        """The draw moves a feature only from a repository to one cloned from
+        it; the operator takes any two repositories of one clone lineage."""
+        adapter = MinilangAdapter()
+        tree = AssetTree()
+        r = featured_repo(tree)
+        for name in ("r_v1", "r_v2"):
+            apply_clone_variant(tree, {"source": make_asset_ref(tree, r).to_text(),
+                                       "new_name": name}, f"clone {name}")
+        v1, v2 = tree.find_repository("r_v1"), tree.find_repository("r_v2")
+        ref = make_feature_ref(v2, v2.feature_model.find(("r", "F")))
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "remove")
+        other = build_repo(tree, "o", {})
+        assert [(s.name, t.name, p) for s, t, p in clone_feature_triples(tree)] == [
+            ("r", "r_v2", ("r", "F"))]
+
+        def params(target):
+            return {"source_repo": "r_v1", "target_repo": target.name,
+                    "feature": make_feature_ref(v1, v1.feature_model.find(("r", "F"))).to_text(),
+                    "target_parent": make_feature_ref(target, target.feature_model.root).to_text()}
+        result = run_in_transaction(tree, "CloneFeature", params(v2), "sibling",
+                                    lambda t: check_tree(t, adapter), adapter=adapter)
+        assert isinstance(result, Committed)
+        assert result.tree.find_repository("r_v2").feature_model.find(("r", "F"))
+        with pytest.raises(UnrelatedRepositories):
+            apply_clone_feature(tree, params(other), "unrelated")
 
     def test_default_integration_index_after_traced_predecessor(self):
         tree, r1, r2 = self._variant_pair()
