@@ -170,10 +170,7 @@ def clone_feature_triples(tree: AssetTree) -> list[tuple[AssetNode, AssetNode, t
             tgt_features = list(tgt.feature_model.root.iter_features())
             tgt_origins = {f.origin for f in tgt_features}
             tgt_names = {f.name for f in tgt_features}
-            for path in src.feature_model.paths():
-                if len(path) < 2:
-                    continue
-                feature = src.feature_model.find(path)
+            for path, feature in src.feature_model.walk()[1:]:  # all but the root
                 if feature.origin in tgt_origins or feature.name in tgt_names:
                     continue
                 triples.append((src, tgt, path))

@@ -53,7 +53,7 @@ from .errors import (EvogenError, LedgerIoError, ReplayDivergence,
                      SnapshotIoError, utf8_text)
 from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
                     FeatureModel, REPOSITORY)
-from .operations import execute
+from .operations import execute, mint_op_id
 # make_asset_ref is unused here, but perfbench/tracer.py patches
 # history.make_asset_ref, so the binding stays until the benchmark drops it
 from .refs import make_asset_ref, repository_refs  # noqa: F401
@@ -412,14 +412,16 @@ _MALFORMED_PARAMS = (LookupError, TypeError, ValueError, AttributeError)
 def replay_records(tree: AssetTree, records: list[dict],
                    adapter) -> Iterator[tuple[int, AssetTree]]:
     """Execute the ledger's records on the revision-0 tree, in place,
-    yielding every revision from 0.  Raises ReplayDivergence unless each
-    stored record equals the record its execution returns, as
-    ``append_ledger`` writes it: revisions, parameters and sub-operations."""
+    yielding every revision from 0.  Each record executes under the op id
+    that generate mints for its revision (``mint_op_id``), not its stored
+    one.  Raises ReplayDivergence unless each stored record equals the
+    record its execution returns, as ``append_ledger`` writes it: op ids,
+    revisions, parameters and sub-operations."""
     yield 0, tree
     for i, stored in enumerate(records):
         try:
             record = execute(tree, stored["kind"], stored["params"],
-                             stored["op_id"], adapter=adapter)
+                             mint_op_id(tree.revision + 1), adapter=adapter)
         except (EvogenError, *_MALFORMED_PARAMS) as exc:
             raise ReplayDivergence(i, f"{type(exc).__name__}: {exc}") from exc
         replayed = {"schema": SCHEMA_VERSION} | record.to_dict()

@@ -71,17 +71,24 @@ class FeatureModel:
                 return None
         return node
 
-    def paths(self) -> list[tuple[str, ...]]:
-        out: list[tuple[str, ...]] = []
+    def walk(self) -> list[tuple[tuple[str, ...], Feature]]:
+        """(full path, feature) for every feature, in preorder: the root
+        first, each feature before its children, siblings in order.  The
+        path is carried down, so no feature is searched for."""
+        out: list[tuple[tuple[str, ...], Feature]] = []
 
-        def walk(feature: Feature, prefix: tuple[str, ...]) -> None:
+        def visit(feature: Feature, prefix: tuple[str, ...]) -> None:
             path = prefix + (feature.name,)
-            out.append(path)
+            out.append((path, feature))
             for child in feature.children:
-                walk(child, path)
+                visit(child, path)
 
-        walk(self.root, ())
+        visit(self.root, ())
         return out
+
+    def paths(self) -> list[tuple[str, ...]]:
+        """The full path of every feature, in the order of ``walk``."""
+        return [path for path, _ in self.walk()]
 
     def paths_under(self, path: tuple[str, ...]) -> set[tuple[str, ...]]:
         """The full paths of the feature at `path` and of its descendants."""
@@ -228,20 +235,6 @@ def insert_nodes_at_flat_index(node: AssetNode, idx: int,
 
 
 # -- feature queries ---------------------------------------------------------
-
-def feature_exclusive_assets(repo: AssetNode,
-                             feature_path: tuple[str, ...]) -> list[AssetNode]:
-    """Assets of `repo` mapped only to the feature at `feature_path` or its
-    descendants (and mapped to at least one of them)."""
-    if repo.feature_model is None or repo.feature_model.find(feature_path) is None:
-        raise UnknownFeature("/".join(feature_path))
-    removed = repo.feature_model.paths_under(feature_path)
-    out = []
-    for node in repo.iter_nodes():
-        if node.mapped_features and node.mapped_features <= removed:
-            out.append(node)
-    return out
-
 
 def nonroot_features(tree: "AssetTree") -> Iterator[tuple[AssetNode, Feature]]:
     """(repository, feature) for every feature but a model's root: the

@@ -56,6 +56,12 @@ class OperationRecord:
 
 # -- shared helpers ----------------------------------------------------------
 
+def mint_op_id(revision_after: int) -> str:
+    """The op id of the operation that makes revision `revision_after`: the
+    one rule by which generate mints it and replay checks it."""
+    return f"op{revision_after:04d}"
+
+
 def _repository_name(fs_path: str) -> str:
     """Name of the repository an asset ref's filesystem path lies in."""
     return fs_path.strip("/").split("/")[0]
@@ -65,9 +71,11 @@ def text_param(value, what: str, name: bool = False) -> str:
     """`value`, text an operation takes from its params, when it is a line
     or, with `name`, a repository name; else raises EvogenError.  A line is
     a str holding no line break, so it renders as one line; a name is a
-    non-empty str holding no "/"."""
+    str holding no "/" that names a directory of its own, so neither empty
+    nor "." nor ".."."""
     if name:
-        valid = isinstance(value, str) and value != "" and "/" not in value
+        valid = (isinstance(value, str) and value not in ("", ".", "..")
+                 and "/" not in value)
     else:
         valid = isinstance(value, str) and value.splitlines() in ([value], [])
     if not valid:
@@ -131,21 +139,18 @@ def _record_subtree_traces(tree: AssetTree, source: AssetNode, source_ref: Asset
 # -- RemoveFeature -----------------------------------------------------------
 
 def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
-                         adapter=None) -> OperationRecord:
+                         adapter) -> OperationRecord:
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "RemoveFeature", dict(params),
                              tree.revision, rev_after)
     ref = FeatureRef.from_text(params["feature"])
     tree.own(_repository_name(ref.repo_path))
-    repo, feature = resolve_feature_ref(tree, ref)
-    assert repo.feature_model is not None
-    feature_path = lpq_to_full_path(repo.feature_model, ref.lpq)
-    if feature is repo.feature_model.root:
-        raise CannotRemoveRoot(feature.name)
+    repo, feature_path = resolve_feature_ref(tree, ref)
+    if len(feature_path) < 2:
+        raise CannotRemoveRoot(feature_path[0])
 
     removed_paths = repo.feature_model.paths_under(feature_path)
-    exclusive_ids = {a.node_id for a in model.feature_exclusive_assets(repo, feature_path)}
-    _remove_children(repo, f"/{repo.name}", (), exclusive_ids, record)
+    _remove_children(repo, f"/{repo.name}", (), removed_paths, record)
 
     for node, ref in repository_refs(tree, repo,
                                      lambda n: n.mapped_features & removed_paths):
@@ -160,21 +165,22 @@ def apply_remove_feature(tree: AssetTree, params: dict, op_id: str,
 
 
 def _remove_children(node: AssetNode, fs_path: str, index_path: tuple[int, ...],
-                     ids: set[int], record: OperationRecord) -> None:
-    """Drop each descendant of `node` whose id is in `ids`, in one preorder
-    pass that does not enter a dropped subtree; `fs_path` and `index_path`
-    are the parts of `node`'s ref.  Each RemoveAsset cites the pre-state:
-    positions count the child list as it was, so a dropped sibling shifts
-    no later ref."""
+                     removed: set[tuple[str, ...]], record: OperationRecord) -> None:
+    """Drop each descendant of `node` exclusive to the features whose full
+    paths `removed` holds: mapped to at least one of them and to no other.
+    One preorder pass decides and drops, and does not enter a dropped
+    subtree; `fs_path` and `index_path` are the parts of `node`'s ref.
+    Each RemoveAsset cites the pre-state: positions count the child list as
+    it was, so a dropped sibling shifts no later ref."""
     kept = []
     for position, child in enumerate(node.children):
         parts = _child_path(fs_path, index_path, child, position)
-        if child.node_id in ids:
+        if child.mapped_features and child.mapped_features <= removed:
             record.add_sub("RemoveAsset", {
                 "asset": AssetRef(record.revision_before, *parts).to_text()})
         else:
             kept.append(child)
-            _remove_children(child, *parts, ids, record)
+            _remove_children(child, *parts, removed, record)
     if len(kept) < len(node.children):
         node.children = kept
 
@@ -182,7 +188,7 @@ def _remove_children(node: AssetNode, fs_path: str, index_path: tuple[int, ...],
 # -- MutateAsset -------------------------------------------------------------
 
 def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
-                       adapter=None) -> OperationRecord:
+                       adapter) -> OperationRecord:
     record = OperationRecord(op_id, "MutateAsset", dict(params),
                              tree.revision, tree.revision + 1)
     ref = AssetRef.from_text(params["target"])
@@ -196,8 +202,8 @@ def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
     idx = params["line"]
     if kind not in MUTATION_KINDS:
         raise EvogenError(f"unknown mutation {kind!r}")
-    if not 0 <= idx < model.file_line_count(target):
-        raise BadIndex(f"{idx} in {target.name}")
+    if type(idx) is not int or not 0 <= idx < model.file_line_count(target):
+        raise BadIndex(f"{idx!r} in {target.name}")
     if kind == DELETE_LINE:
         model.delete_line(target, idx)
     elif kind == REPLACE_LINE:
@@ -210,7 +216,7 @@ def apply_mutate_asset(tree: AssetTree, params: dict, op_id: str,
 # -- CloneVariant ------------------------------------------------------------
 
 def apply_clone_variant(tree: AssetTree, params: dict, op_id: str,
-                        adapter=None) -> OperationRecord:
+                        adapter) -> OperationRecord:
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "CloneVariant", dict(params),
                              tree.revision, rev_after)
@@ -231,7 +237,7 @@ def apply_clone_variant(tree: AssetTree, params: dict, op_id: str,
 # -- CloneFeature ------------------------------------------------------------
 
 def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
-                        adapter=None) -> OperationRecord:
+                        adapter) -> OperationRecord:
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "CloneFeature", dict(params),
                              tree.revision, rev_after)
@@ -252,8 +258,7 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     feature = src_repo.feature_model.find(feature_path)
     parent_path = lpq_to_full_path(tgt_repo.feature_model, parent_ref.lpq)
     parent_feature = tgt_repo.feature_model.find(parent_path)
-    if parent_feature.child(feature.name) is not None or any(
-            f.name == feature.name for f in tgt_repo.feature_model.root.iter_features()):
+    if any(f.name == feature.name for f in tgt_repo.feature_model.root.iter_features()):
         raise AlreadyPresent(feature.name)
 
     parent_feature.children.append(feature.copy())
@@ -264,7 +269,9 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
         return target_feature_path + path[len(feature_path):]
 
     cloned_paths = src_repo.feature_model.paths_under(feature_path)
-    plan: dict = params.get("plan") or {}
+    plan = params.get("plan", {})
+    if not isinstance(plan, dict):
+        raise EvogenError(f"plan holds {plan!r}, not a mapping")
     new_slice_dirs: list[str] = []
 
     # src_repo is not the target (that would be AlreadyPresent), so nothing
@@ -344,7 +351,7 @@ def _declare_slices(tree: AssetTree, src_repo: AssetNode, tgt_repo: AssetNode,
                     new_slice_dirs: list[str], record: OperationRecord,
                     adapter, op_id: str, rev_after: int) -> None:
     """Make newly introduced slices buildable in the target repository."""
-    if not new_slice_dirs or adapter is None:
+    if not new_slice_dirs:
         return
     manifest_node = tgt_repo.child_named(MANIFEST_NAME)
     declared = []
@@ -380,7 +387,7 @@ def _declare_slices(tree: AssetTree, src_repo: AssetNode, tgt_repo: AssetNode,
 # -- dispatch and transactions -----------------------------------------------
 
 def execute(tree: AssetTree, kind: str, params: dict, op_id: str,
-            adapter=None) -> OperationRecord:
+            adapter) -> OperationRecord:
     from .transplant import apply_transplant_feature
     handlers = {
         "RemoveFeature": apply_remove_feature,
@@ -406,7 +413,7 @@ class RolledBack:
 
 
 def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,
-                       checker: Callable[[AssetTree], list[str]], adapter=None):
+                       checker: Callable[[AssetTree], list[str]], adapter):
     """Apply a candidate on a scratch copy, gate it on the checker.
 
     Returns Committed (with the new tree at revision + 1) or RolledBack; the

@@ -119,17 +119,13 @@ def resolve_asset_ref(tree: AssetTree, ref: AssetRef) -> AssetNode:
 
 def make_feature_lpq(model: FeatureModel, feature: Feature) -> tuple[str, ...]:
     """Shortest name-path suffix identifying `feature` uniquely in `model`."""
-    paths = model.paths()
-    target = None
-    for path in paths:
-        if model.find(path) is feature:
-            target = path
-            break
+    pairs = model.walk()
+    target = next((path for path, f in pairs if f is feature), None)
     if target is None:
         raise UnknownFeature(feature.name)
     for k in range(1, len(target) + 1):
         suffix = target[-k:]
-        if sum(1 for p in paths if p[-k:] == suffix) == 1:
+        if sum(1 for p, _ in pairs if p[-k:] == suffix) == 1:
             return suffix
     return target
 
@@ -141,17 +137,18 @@ def lpq_to_full_path(model: FeatureModel, lpq: tuple[str, ...]) -> tuple[str, ..
     return matches[0]
 
 
-def resolve_lpq(model: FeatureModel, lpq: tuple[str, ...]) -> Feature:
-    return model.find(lpq_to_full_path(model, lpq))
-
-
 def make_feature_ref(repo: AssetNode, feature: Feature) -> FeatureRef:
     assert repo.feature_model is not None
     return FeatureRef(f"/{repo.name}", make_feature_lpq(repo.feature_model, feature))
 
 
-def resolve_feature_ref(tree: AssetTree, ref: FeatureRef) -> tuple[AssetNode, Feature]:
+def resolve_feature_ref(tree: AssetTree,
+                        ref: FeatureRef) -> tuple[AssetNode, tuple[str, ...]]:
+    """The repository `ref` names and the full path of its feature: the one
+    path of the repository's model that ends in the ref's LPQ.  Raises
+    UnknownFeature when the repository has no model, or when no path or
+    more than one ends in the LPQ."""
     repo = resolve_asset_ref(tree, AssetRef(tree.revision, ref.repo_path))
     if repo.feature_model is None:
         raise UnknownFeature(ref.to_text())
-    return repo, resolve_lpq(repo.feature_model, ref.lpq)
+    return repo, lpq_to_full_path(repo.feature_model, ref.lpq)

@@ -29,7 +29,7 @@ from .history import (append_ledger, append_traces, parse_initial_system,
 from .minilang import (MinilangAdapter, check_snapshot_dir,  # noqa: F401
                        check_tree)
 from .model import AssetTree
-from .operations import Committed, run_in_transaction
+from .operations import Committed, mint_op_id, run_in_transaction
 from .transplant import load_donor
 
 BUNDLED_CHECKER = "bundledMinilang"
@@ -327,9 +327,8 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
                     debug.write(f"iter {iteration} {gen_id} attempt {attempt}:"
                                 f" no candidate\n")
                     continue
-                op_id = f"op{tree.revision + 1:04d}"
-                result = run_in_transaction(tree, candidate.kind,
-                                            candidate.params, op_id, checker,
+                result = run_in_transaction(tree, candidate.kind, candidate.params,
+                                            mint_op_id(tree.revision + 1), checker,
                                             adapter=adapter)
                 if isinstance(result, Committed):
                     tree = result.tree

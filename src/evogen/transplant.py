@@ -13,9 +13,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import model
-from .errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
-                     MissingDependency, NotModular, SliceConflict,
-                     SnapshotIoError, utf8_text)
+from .errors import (BadIndex, DonorIoError, EvogenError,
+                     ForbiddenInsertionPoint, MissingDependency, NotModular,
+                     SliceConflict, SnapshotIoError, utf8_text)
 from .history import _read_snapshot, _repo_files
 from .minilang import _external_covers
 from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
@@ -165,10 +165,9 @@ def _in_slice(repo: AssetNode, path: str) -> bool:
 
 
 def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
-                             adapter=None) -> OperationRecord:
+                             adapter) -> OperationRecord:
     """Integrate an organ: the five recorded steps from insertion of the
     guarded test to the new feature mapping."""
-    assert adapter is not None
     rev_after = tree.revision + 1
     record = OperationRecord(op_id, "TransplantFeature", dict(params),
                              tree.revision, rev_after)
@@ -193,6 +192,9 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         raise ForbiddenInsertionPoint("insertion point outside target repository")
     if _in_slice(repo, path):
         raise ForbiddenInsertionPoint("insertion point inside a project slice")
+    index = params["insertion_index"]
+    if type(index) is not int or not 0 <= index <= model.file_line_count(parent):
+        raise BadIndex(f"{index!r} in {parent.name}")
 
     # (1) guard-wrapped test body and imports become new block assets
     imports_block = tree.new_node(BLOCK, "imports", children=[
@@ -201,8 +203,7 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
         tree.new_node(LINE, "", content=[ln])
         for ln in adapter.guard_wrap(organ["body"])])
     model.explode_file(tree, parent)
-    model.insert_nodes_at_flat_index(parent, params["insertion_index"],
-                                     [imports_block, test_block])
+    model.insert_nodes_at_flat_index(parent, index, [imports_block, test_block])
     for block in (imports_block, test_block):
         record.add_sub("AddAsset", {
             "asset": make_asset_ref(tree, block).at_revision(rev_after).to_text(),

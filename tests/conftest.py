@@ -10,7 +10,8 @@ from evogen.history import SCHEMA_VERSION, parse_initial_system
 from evogen.minilang import MinilangAdapter
 from evogen.model import (FILE, FOLDER, LINE, MANIFEST_NAME, REPOSITORY, AssetNode,
                           AssetTree, Feature, FeatureModel, ManifestModel)
-from evogen.refs import make_asset_ref
+from evogen.operations import apply_remove_feature
+from evogen.refs import AssetRef, make_asset_ref, make_feature_ref, resolve_asset_ref
 from evogen.runner import RunConfig, preset, run
 from evogen.transplant import load_donor
 
@@ -278,6 +279,46 @@ def reference_feature_state(tree: AssetTree) -> bytes:
     return (json.dumps(state, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
 
+# -- reference feature removal -----------------------------------------------
+
+def reference_removed_assets(repo: AssetNode,
+                             feature_path: tuple[str, ...]) -> list[AssetNode]:
+    """The nodes RemoveFeature of the feature at `feature_path` must drop,
+    by brute force: each node below `repo` mapped to that feature or one of
+    its descendants and to no other feature, except one that lies inside
+    another such node, which goes with it."""
+    removed = {p for p in repo.feature_model.paths() if p[:len(feature_path)] == feature_path}
+    exclusive = [n for n in repo.iter_nodes()
+                 if n is not repo and n.mapped_features and n.mapped_features <= removed]
+    inside = {d.node_id for e in exclusive for d in e.iter_nodes() if d is not e}
+    return [n for n in exclusive if n.node_id not in inside]
+
+
+def removal_outcome(tree: AssetTree, repo: AssetNode, feature_path: tuple[str, ...],
+                    adapter) -> tuple[set[int], set[int]]:
+    """RemoveFeature of the feature at `feature_path` applied to a copy of
+    `tree`: the ids of the nodes its RemoveAsset sub-operations cite,
+    resolved in `tree`, which stays as it was, and the ids of the nodes of
+    `repo` that survive in the copy."""
+    scratch = tree.clone()
+    ref = make_feature_ref(repo, repo.feature_model.find(feature_path))
+    record = apply_remove_feature(scratch, {"feature": ref.to_text()}, "op1", adapter)
+    cited = {resolve_asset_ref(tree, AssetRef.from_text(sub.params["asset"])).node_id
+             for sub in record.sub_ops if sub.kind == "RemoveAsset"}
+    return cited, {n.node_id for n in scratch.find_repository(repo.name).iter_nodes()}
+
+
+def removal_matches_reference(tree: AssetTree, repo: AssetNode,
+                              feature_path: tuple[str, ...], adapter) -> bool:
+    """True when RemoveFeature drops exactly ``reference_removed_assets``
+    and every other node of `repo` survives."""
+    expected = reference_removed_assets(repo, feature_path)
+    gone = {d.node_id for n in expected for d in n.iter_nodes()}
+    cited, survivors = removal_outcome(tree, repo, feature_path, adapter)
+    return (cited == {n.node_id for n in expected}
+            and survivors == {n.node_id for n in repo.iter_nodes()} - gone)
+
+
 # -- reference compilability check -------------------------------------------
 
 def _external_covers(externals: set[str], module: str) -> bool:
@@ -474,8 +515,10 @@ def lineage_mismatches(tree: AssetTree, chains: dict[int, list[int]]) -> list[tu
 # Each changes one ledger record and returns the record's index.  Those of
 # TAMPERS before the type tampers leave every ref the record names
 # resolvable, so only a replay that compares the record it yields with the
-# stored one sees them; each type tamper puts a value of the wrong type where
-# the operation takes text from its params, so the replay itself refuses it.
+# stored one sees them; each type tamper puts a param the operation takes on
+# trust at its peril, so the replay itself refuses it: text of the wrong
+# type, a repository name that names no directory of its own, an index that
+# is not an int, or a plan that is not a mapping.
 
 def _first_sub_op(records: list[dict], kind: str, accept=lambda params: True):
     return next((i, sub) for i, record in enumerate(records)
@@ -518,6 +561,23 @@ def _parent_in_source_repo(records: list[dict]) -> int:
     return i
 
 
+def _renumber(records: list[dict]) -> int:
+    """Renumber the first TransplantFeature record and its sub-operations
+    as ``op9999``, ``op9999.0``, ...: a consistent numbering that is not
+    the one generate mints."""
+    i, record = next((i, r) for i, r in enumerate(records)
+                     if r["kind"] == "TransplantFeature")
+    record["op_id"] = "op9999"
+    for n, sub in enumerate(record["sub_ops"]):
+        sub["op_id"] = f"op9999.{n}"
+    return i
+
+
+def _op_id_is_five(records: list[dict]) -> int:
+    records[0]["op_id"] = 5
+    return 0
+
+
 def _set_param(kind: str, path: str, value):
     """A tamper that sets the param at the dotted `path` of the first `kind`
     record holding it to `value`."""
@@ -544,6 +604,12 @@ TYPE_TAMPERS = {
     "TransplantFeature organ.manifest holds an int":
         _set_param("TransplantFeature", "organ.manifest", [3]),
     "CloneVariant new_name is 5": _set_param("CloneVariant", "new_name", 5),
+    "CloneVariant new_name is ..": _set_param("CloneVariant", "new_name", ".."),
+    "CloneVariant new_name is .": _set_param("CloneVariant", "new_name", "."),
+    "MutateAsset line is true": _set_param("MutateAsset", "line", True),
+    "TransplantFeature insertion_index is true":
+        _set_param("TransplantFeature", "insertion_index", True),
+    "CloneFeature plan is a list": _set_param("CloneFeature", "plan", [1]),
 }
 
 TAMPERS = {
@@ -552,6 +618,8 @@ TAMPERS = {
     "AddAsset name changed": _rename_added_asset,
     "RemoveFeature sub-op dropped": _drop_removal_sub_op,
     "CloneFeature target_parent names the source repository": _parent_in_source_repo,
+    "op ids renumbered op9999": _renumber,
+    "op_id is 5": _op_id_is_five,
     **TYPE_TAMPERS,
 }
 

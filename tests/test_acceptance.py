@@ -15,15 +15,18 @@ from scipy.stats import chisquare
 from evogen.generators import clone_feature_triples
 from evogen.history import read_ledger, replay_history
 from evogen.minilang import MinilangAdapter, check_snapshot_dir
-from evogen.model import AssetTree, FILE, Feature, feature_exclusive_assets
+from evogen.model import AssetTree, Feature
 from evogen.operations import apply_clone_variant
-from evogen.refs import AssetRef, make_asset_ref, resolve_asset_ref
+from evogen.refs import (AssetRef, FeatureRef, make_asset_ref, resolve_asset_ref,
+                         resolve_feature_ref)
 from evogen.runner import PRESET_NAMES, preset, run, select_generator
 from evogen.stats import compute_metrics
 from evogen.transplant import extract_organ, load_donor
 
-from conftest import (build_repo, random_fs_tree, reference_clone_feature_triples,
-                      structurally_equal, write_donor, write_initial_system)
+from conftest import (build_repo, random_fs_tree, random_structured_tree,
+                      reference_clone_feature_triples, reference_removed_assets,
+                      removal_matches_reference, structurally_equal, write_donor,
+                      write_initial_system)
 
 ADAPTER = MinilangAdapter()
 ITERATIONS = 200
@@ -139,11 +142,8 @@ def test_criterion_ground_truth_exactness(preset_runs):
                                     f"mismatch")
             elif record["kind"] == "RemoveFeature":
                 before = states[record["revision_before"]]
-                from evogen.refs import (FeatureRef, lpq_to_full_path,
-                                         resolve_feature_ref)
                 ref = FeatureRef.from_text(record["params"]["feature"])
-                repo_before, _ = resolve_feature_ref(before, ref)
-                fpath = lpq_to_full_path(repo_before.feature_model, ref.lpq)
+                repo_before, fpath = resolve_feature_ref(before, ref)
                 removed = {p for p in repo_before.feature_model.paths()
                            if p[:len(fpath)] == fpath}
                 repo_after = after.find_repository(repo_before.name)
@@ -152,6 +152,14 @@ def test_criterion_ground_truth_exactness(preset_runs):
                         failures.append(
                             f"{name}/{record['op_id']}: surviving asset "
                             f"{node.name} maps a removed feature")
+                # the assets gone are the topmost exclusive ones, with
+                # everything inside them, and no others
+                gone = ({n.node_id for n in repo_before.iter_nodes()}
+                        - {n.node_id for n in repo_after.iter_nodes()})
+                if gone != {d.node_id for n in reference_removed_assets(repo_before, fpath)
+                            for d in n.iter_nodes()}:
+                    failures.append(f"{name}/{record['op_id']}: removed assets"
+                                    f" differ from the exclusive ones")
     verdict("ground-truth exactness (transplant mappings, removal cleanup)",
             not failures, "; ".join(failures[:3]))
 
@@ -237,7 +245,7 @@ def test_criterion_clone_correctness():
         node_count = sum(1 for _ in source.iter_nodes())
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, source).to_text(),
-                   "new_name": "the_clone"}, f"op{case}")
+                   "new_name": "the_clone"}, f"op{case}", ADAPTER)
         clone = tree.find_repository("the_clone")
         clone.name = source.name
         equal = structurally_equal(source, clone)
@@ -264,20 +272,17 @@ def _random_feature_model(rng, repo):
 
 
 def _oracle_feature_exclusive(rng):
-    tree = AssetTree()
-    repo = build_repo(tree, "r", {f"f{i}.mini": ["x"]
-                                  for i in range(rng.randint(1, 6))})
+    """RemoveFeature on a random repository of folders, files, blocks and
+    lines, each node mapped to random features, against the brute force."""
+    tree = random_structured_tree(rng)
+    repo = tree.repositories[0]
     _random_feature_model(rng, repo)
     paths = [p for p in repo.feature_model.paths() if len(p) > 1]
     for node in repo.iter_nodes():
-        if node.kind == FILE:
+        if node is not repo and rng.random() < 0.6:
             node.mapped_features = {p for p in paths if rng.random() < 0.4}
     query = paths[rng.randrange(len(paths))]
-    descendants = {p for p in repo.feature_model.paths()
-                   if p[:len(query)] == query}
-    expected = [n for n in repo.iter_nodes()
-                if n.mapped_features and n.mapped_features <= descendants]
-    return feature_exclusive_assets(repo, query) == expected
+    return removal_matches_reference(tree, repo, query, ADAPTER)
 
 
 def _oracle_slice_closure(rng, scratch: Path):
@@ -318,7 +323,7 @@ def _oracle_clone_feature_enum(rng):
         src = tree.repositories[rng.randrange(len(tree.repositories))]
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, src).to_text(),
-                   "new_name": f"v{v}"}, f"op{v}")
+                   "new_name": f"v{v}"}, f"op{v}", ADAPTER)
         tree.revision += 1
     for variant in tree.repositories:
         kept = [f for f in variant.feature_model.root.children
@@ -335,7 +340,7 @@ def test_criterion_oracle_equivalence(tmp_path):
     failures = []
     for case in range(500):
         if not _oracle_feature_exclusive(random.Random(f"fx-{case}")):
-            failures.append(f"featureExclusiveAssets case {case}")
+            failures.append(f"RemoveFeature exclusive assets case {case}")
     for case in range(500):
         scratch = tmp_path / f"d{case}"
         if not _oracle_slice_closure(random.Random(f"sc-{case}"), scratch):

@@ -162,7 +162,7 @@ def _generate(config, corpus, out, tmp_path, monkeypatch, seen: dict,
             return problems
         return checker
 
-    def transaction(tree, kind, *args, adapter=None, **kwargs):
+    def transaction(tree, kind, *args, adapter, **kwargs):
         attempt["kind"] = kind
         attempt["inputs"] = {repo.name: (repo, dict(repo.derived))
                              for repo in tree.repositories}

@@ -14,10 +14,12 @@ from evogen.refs import make_asset_ref
 
 from conftest import build_repo, reference_clone_feature_triples
 
+ADAPTER = MinilangAdapter()
+
 
 @pytest.fixture
 def ctx(donors):
-    return GenContext(adapter=MinilangAdapter(), donors=donors)
+    return GenContext(adapter=ADAPTER, donors=donors)
 
 
 def featured_tree(features=("F", "G")):
@@ -35,7 +37,7 @@ class TestDeterminism:
         tree = initial_tree
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, tree.repositories[0]).to_text(),
-                   "new_name": "calc_v1"}, "op0")
+                   "new_name": "calc_v1"}, "op0", ADAPTER)
         tree.revision += 1
         a = generate(gen_id, tree, random.Random("s"), ctx)
         b = generate(gen_id, tree, random.Random("s"),
@@ -134,7 +136,7 @@ class TestCloneFeature:
     def _pruned_variant(self):
         tree, repo = featured_tree(("F", "G"))
         apply_clone_variant(tree, {"source": make_asset_ref(tree, repo).to_text(),
-                                   "new_name": "r_v1"}, "op1")
+                                   "new_name": "r_v1"}, "op1", ADAPTER)
         tree.revision += 1
         v1 = tree.find_repository("r_v1")
         v1.feature_model.root.children = [
@@ -156,7 +158,7 @@ class TestCloneFeature:
         for n in range(clones):
             source = tree.repositories[n // 2]
             apply_clone_variant(tree, {"source": make_asset_ref(tree, source).to_text(),
-                                       "new_name": f"c{n}"}, f"clone{n}")
+                                       "new_name": f"c{n}"}, f"clone{n}", ADAPTER)
             tree.revision += 1
 
         class CountingList(list):

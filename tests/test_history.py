@@ -292,6 +292,14 @@ class TestLedgerTampers:
         "TransplantFeature organ.manifest holds an int":
             "EvogenError: organ holds 3, not a line",
         "CloneVariant new_name is 5": "EvogenError: new_name holds 5, not a repository name",
+        "op ids renumbered op9999": "record differs from its replay in op_id, sub_ops",
+        "op_id is 5": "record differs from its replay in op_id",
+        "CloneVariant new_name is ..":
+            "EvogenError: new_name holds '..', not a repository name",
+        "CloneVariant new_name is .": "EvogenError: new_name holds '.', not a repository name",
+        "MutateAsset line is true": "BadIndex: True in mod0.mini",
+        "TransplantFeature insertion_index is true": "BadIndex: True in main.mini",
+        "CloneFeature plan is a list": "EvogenError: plan holds [1], not a mapping",
     }
 
     def test_untampered_history_validates(self, clone_feature_history, adapter):

@@ -7,14 +7,16 @@ from evogen.errors import EvogenError, SelfTrace, UnknownFeature
 from evogen.generators import GENERATOR_IDS, GenContext, generate
 from evogen.history import _tree_files, parse_initial_system
 from evogen.minilang import MinilangAdapter
-from evogen.model import (AssetTree, CloneTrace, Feature, FILE,
-                          feature_exclusive_assets, flatten_lines)
-from evogen.operations import execute
+from evogen.model import AssetTree, CloneTrace, Feature, FILE, flatten_lines
+from evogen.operations import apply_remove_feature, execute
 from evogen.refs import make_asset_ref
 from evogen.transplant import load_donor
 
 from conftest import (build_repo, random_fs_tree, reference_feature_state,
+                      removal_matches_reference, removal_outcome,
                       structurally_equal, write_donor, write_initial_system)
+
+ADAPTER = MinilangAdapter()
 
 
 def mapped(repo, path, *features):
@@ -26,33 +28,40 @@ def mapped(repo, path, *features):
 
 
 class TestFeatureExclusiveAssets:
+    """RemoveFeature drops the assets exclusive to the removed feature and
+    its descendants, and no other."""
+
     def test_shared_asset_excluded(self):
         tree = AssetTree()
         repo = build_repo(tree, "r", {"a.mini": ["x"], "b.mini": ["y"]})
         root = repo.feature_model.root
         root.children = [Feature("F", "f"), Feature("G", "g")]
         a = mapped(repo, "a.mini", ("r", "F"))
-        mapped(repo, "b.mini", ("r", "F"), ("r", "G"))
-        assert feature_exclusive_assets(repo, ("r", "F")) == [a]
+        b = mapped(repo, "b.mini", ("r", "F"), ("r", "G"))
+        cited, survivors = removal_outcome(tree, repo, ("r", "F"), ADAPTER)
+        assert cited == {a.node_id}
+        assert survivors == {repo.node_id, b.node_id}
 
     def test_descendant_mapping_counts(self):
         tree = AssetTree()
         repo = build_repo(tree, "r", {"a.mini": ["x"]})
         repo.feature_model.root.children = [Feature("F", "f", [Feature("C", "c")])]
         a = mapped(repo, "a.mini", ("r", "F", "C"))
-        assert feature_exclusive_assets(repo, ("r", "F")) == [a]
+        assert removal_outcome(tree, repo, ("r", "F"), ADAPTER) == (
+            {a.node_id}, {repo.node_id})
 
     def test_no_mapping_empty(self):
         tree = AssetTree()
         repo = build_repo(tree, "r", {"a.mini": ["x"]})
         repo.feature_model.root.children = [Feature("F", "f")]
-        assert feature_exclusive_assets(repo, ("r", "F")) == []
+        assert removal_outcome(tree, repo, ("r", "F"), ADAPTER) == (
+            set(), {n.node_id for n in repo.iter_nodes()})
 
     def test_unknown_feature_raises(self):
         tree = AssetTree()
-        repo = build_repo(tree, "r", {})
+        build_repo(tree, "r", {})
         with pytest.raises(UnknownFeature):
-            feature_exclusive_assets(repo, ("r", "missing"))
+            apply_remove_feature(tree, {"feature": "/r!missing"}, "op1", ADAPTER)
 
     def test_matches_brute_force_on_random_mappings(self):
         rng = random.Random(7)
@@ -67,11 +76,7 @@ class TestFeatureExclusiveAssets:
                     node.mapped_features = {
                         p for p in paths if rng.random() < 0.4}
             query = paths[rng.randrange(len(paths))]
-            descendants = {p for p in repo.feature_model.paths()
-                           if p[:len(query)] == query}
-            expected = [n for n in repo.iter_nodes()
-                        if n.mapped_features and n.mapped_features <= descendants]
-            assert feature_exclusive_assets(repo, query) == expected
+            assert removal_matches_reference(tree, repo, query, ADAPTER)
 
 
 class TestTraces:
@@ -120,7 +125,7 @@ class TestCorrespondingAsset:
         repo = build_repo(tree, "r1", {"a.mini": ["x"], "sub/b.mini": ["y"]})
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, repo).to_text(),
-                   "new_name": "r2"}, "op1")
+                   "new_name": "r2"}, "op1", ADAPTER)
         return tree, repo, tree.find_repository("r2")
 
     def test_single_hop(self):
@@ -152,7 +157,7 @@ class TestCorrespondingAsset:
         tree, r1, r2 = self._cloned_pair()
         apply_clone_variant(
             tree, {"source": make_asset_ref(tree, r2).to_text(),
-                   "new_name": "r3"}, "op2")
+                   "new_name": "r3"}, "op2", ADAPTER)
         r3 = tree.find_repository("r3")
         a = r1.child_named("sub").child_named("b.mini")
         twin = tree.corresponding_asset(a, r3)

@@ -9,7 +9,7 @@ from evogen.errors import (AlreadyPresent, BadIndex, CannotRemoveRoot,
 from evogen.generators import clone_feature_triples
 from evogen.history import materialize_tree
 from evogen.minilang import MinilangAdapter, check_tree
-from evogen.model import AssetTree, FILE, Feature
+from evogen.model import AssetTree, FILE, FOLDER, Feature
 from evogen.operations import (Committed, RolledBack,
                                apply_clone_feature, apply_clone_variant,
                                apply_mutate_asset, apply_remove_feature,
@@ -17,6 +17,8 @@ from evogen.operations import (Committed, RolledBack,
 from evogen.refs import FeatureRef, make_asset_ref, make_feature_ref
 
 from conftest import build_repo, structurally_equal
+
+ADAPTER = MinilangAdapter()
 
 
 def featured_repo(tree, name="r"):
@@ -35,7 +37,7 @@ class TestRemoveFeature:
         tree = AssetTree()
         repo = featured_repo(tree)
         ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
-        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1", ADAPTER)
         assert repo.child_named("a.mini") is None
         assert repo.child_named("b.mini").mapped_features == {("r", "G")}
         assert repo.feature_model.find(("r", "F")) is None
@@ -48,7 +50,7 @@ class TestRemoveFeature:
         repo = featured_repo(tree)
         ref = make_feature_ref(repo, repo.feature_model.root)
         with pytest.raises(CannotRemoveRoot):
-            apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+            apply_remove_feature(tree, {"feature": ref.to_text()}, "op1", ADAPTER)
 
     def test_subtree_removal(self):
         tree = AssetTree()
@@ -57,7 +59,7 @@ class TestRemoveFeature:
             Feature("F", "f", [Feature("C", "c")])]
         repo.child_named("a.mini").mapped_features = {("r", "F", "C")}
         ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op1", ADAPTER)
         assert repo.child_named("a.mini") is None
         assert repo.feature_model.paths() == [("r",)]
 
@@ -69,7 +71,7 @@ class TestRemoveFeature:
         folder.mapped_features = {("r", "F")}
         folder.child_named("a.mini").mapped_features = {("r", "F")}
         ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
-        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1", ADAPTER)
         assert [(s.kind, s.params) for s in record.sub_ops] == [
             ("RemoveAsset", {"asset": "0:/r/d"})]
         assert [n.name for n in repo.children] == ["b.mini"]
@@ -84,7 +86,7 @@ class TestRemoveFeature:
         repo.child_named("b.mini").mapped_features = {("r", "F")}
         pre = tree.clone()
         ref = make_feature_ref(repo, repo.feature_model.find(("r", "F")))
-        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1")
+        record = apply_remove_feature(tree, {"feature": ref.to_text()}, "op1", ADAPTER)
         from evogen.refs import AssetRef, resolve_asset_ref
         removed = [s for s in record.sub_ops if s.kind == "RemoveAsset"]
         assert len(removed) == 2
@@ -103,12 +105,12 @@ class TestMutateAsset:
         tree, f = self._tree()
         ref = make_asset_ref(tree, f).to_text()
         apply_mutate_asset(tree, {"target": ref, "mutation": "addLine",
-                                  "line": 1, "donor_line": "new"}, "op1")
+                                  "line": 1, "donor_line": "new"}, "op1", ADAPTER)
         assert m.flatten_lines(f) == ["l0", "new", "l1", "l2"]
         apply_mutate_asset(tree, {"target": ref, "mutation": "replaceLine",
-                                  "line": 0, "donor_line": "L0"}, "op2")
+                                  "line": 0, "donor_line": "L0"}, "op2", ADAPTER)
         apply_mutate_asset(tree, {"target": ref, "mutation": "deleteLine",
-                                  "line": 3}, "op3")
+                                  "line": 3}, "op3", ADAPTER)
         assert m.flatten_lines(f) == ["L0", "new", "l1"]
 
     def test_manifest_not_mutable(self):
@@ -117,14 +119,14 @@ class TestMutateAsset:
         ref = make_asset_ref(tree, repo.child_named("project.manifest"))
         with pytest.raises(NotMutable):
             apply_mutate_asset(tree, {"target": ref.to_text(),
-                                      "mutation": "deleteLine", "line": 0}, "op")
+                                      "mutation": "deleteLine", "line": 0}, "op", ADAPTER)
 
     def test_bad_index(self):
         tree, f = self._tree()
         ref = make_asset_ref(tree, f).to_text()
         with pytest.raises(BadIndex):
             apply_mutate_asset(tree, {"target": ref, "mutation": "deleteLine",
-                                      "line": 3}, "op")
+                                      "line": 3}, "op", ADAPTER)
 
 
 class TestCloneVariant:
@@ -133,7 +135,7 @@ class TestCloneVariant:
         repo = build_repo(tree, "r1", {"a.mini": ["x"], "sub/b.mini": ["y"]})
         node_count = sum(1 for _ in repo.iter_nodes())
         apply_clone_variant(tree, {"source": make_asset_ref(tree, repo).to_text(),
-                                   "new_name": "r2"}, "op1")
+                                   "new_name": "r2"}, "op1", ADAPTER)
         clone = tree.find_repository("r2")
         assert clone is not None
         ids_src = {n.node_id for n in repo.iter_nodes()}
@@ -151,7 +153,7 @@ class TestCloneVariant:
         build_repo(tree, "r2", {})
         with pytest.raises(DuplicateRepository):
             apply_clone_variant(tree, {"source": make_asset_ref(tree, repo).to_text(),
-                                       "new_name": "r2"}, "op1")
+                                       "new_name": "r2"}, "op1", ADAPTER)
 
 
 class TestCloneFeature:
@@ -159,19 +161,19 @@ class TestCloneFeature:
         tree = AssetTree()
         repo = featured_repo(tree)
         apply_clone_variant(tree, {"source": make_asset_ref(tree, repo).to_text(),
-                                   "new_name": "r2"}, "op1")
+                                   "new_name": "r2"}, "op1", ADAPTER)
         return tree, repo, tree.find_repository("r2")
 
     def test_clone_into_pruned_variant(self):
         tree, r1, r2 = self._variant_pair()
         ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2", ADAPTER)
         assert r2.child_named("a.mini") is None
         src = make_feature_ref(r1, r1.feature_model.find(("r", "F")))
         tgt = make_feature_ref(r2, r2.feature_model.root)
         record = apply_clone_feature(tree, {
             "source_repo": "r", "target_repo": "r2",
-            "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3")
+            "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3", ADAPTER)
         assert r2.feature_model.find(("r", "F")) is not None
         # a.mini cloned back, b.mini (shared, still present) only remapped
         assert m.flatten_lines(r2.child_named("a.mini")) == ["fa"]
@@ -188,7 +190,7 @@ class TestCloneFeature:
         with pytest.raises(AlreadyPresent):
             apply_clone_feature(tree, {
                 "source_repo": "r", "target_repo": "r2",
-                "feature": src.to_text(), "target_parent": tgt.to_text()}, "op")
+                "feature": src.to_text(), "target_parent": tgt.to_text()}, "op", ADAPTER)
 
     def test_unrelated_repositories_raise(self):
         tree = AssetTree()
@@ -199,13 +201,13 @@ class TestCloneFeature:
         with pytest.raises(UnrelatedRepositories):
             apply_clone_feature(tree, {
                 "source_repo": "r1", "target_repo": "r2",
-                "feature": src.to_text(), "target_parent": tgt.to_text()}, "op")
+                "feature": src.to_text(), "target_parent": tgt.to_text()}, "op", ADAPTER)
 
     @pytest.mark.parametrize("key", ["feature", "target_parent"])
     def test_feature_ref_of_another_repository_raises(self, key):
         tree, r1, r2 = self._variant_pair()
         ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2", ADAPTER)
         params = {"source_repo": "r", "target_repo": "r2",
                   "feature": make_feature_ref(r1, r1.feature_model.find(("r", "F"))).to_text(),
                   "target_parent": make_feature_ref(r2, r2.feature_model.root).to_text()}
@@ -214,20 +216,20 @@ class TestCloneFeature:
         params[key] = FeatureRef(f"/{other.name}",
                                  FeatureRef.from_text(params[key]).lpq).to_text()
         with pytest.raises(EvogenError, match="is not a feature of"):
-            apply_clone_feature(tree, params, "op3")
+            apply_clone_feature(tree, params, "op3", ADAPTER)
 
     @pytest.mark.parametrize("index", [999, -1, True])
     def test_plan_index_outside_the_parent_raises(self, index):
         tree, r1, r2 = self._variant_pair()
         ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2", ADAPTER)
         plan = {make_asset_ref(tree, r1.child_named("a.mini")).to_text(): index}
         with pytest.raises(BadIndex):
             apply_clone_feature(tree, {
                 "source_repo": "r", "target_repo": "r2",
                 "feature": make_feature_ref(r1, r1.feature_model.find(("r", "F"))).to_text(),
                 "target_parent": make_feature_ref(r2, r2.feature_model.root).to_text(),
-                "plan": plan}, "op3")
+                "plan": plan}, "op3", ADAPTER)
 
     def test_siblings_are_related_but_not_drawn(self):
         """The draw moves a feature only from a repository to one cloned from
@@ -237,10 +239,10 @@ class TestCloneFeature:
         r = featured_repo(tree)
         for name in ("r_v1", "r_v2"):
             apply_clone_variant(tree, {"source": make_asset_ref(tree, r).to_text(),
-                                       "new_name": name}, f"clone {name}")
+                                       "new_name": name}, f"clone {name}", ADAPTER)
         v1, v2 = tree.find_repository("r_v1"), tree.find_repository("r_v2")
         ref = make_feature_ref(v2, v2.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "remove")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "remove", ADAPTER)
         other = build_repo(tree, "o", {})
         assert [(s.name, t.name, p) for s, t, p in clone_feature_triples(tree)] == [
             ("r", "r_v2", ("r", "F"))]
@@ -254,17 +256,53 @@ class TestCloneFeature:
         assert isinstance(result, Committed)
         assert result.tree.find_repository("r_v2").feature_model.find(("r", "F"))
         with pytest.raises(UnrelatedRepositories):
-            apply_clone_feature(tree, params(other), "unrelated")
+            apply_clone_feature(tree, params(other), "unrelated", ADAPTER)
+
+    def test_slice_file_declares_its_slice_in_the_target(self):
+        tree = AssetTree()
+        r = build_repo(tree, "r", {"project.manifest": ["name: r"],
+                                   "main.mini": ["def f {", "}"]})
+        apply_clone_variant(tree, {"source": make_asset_ref(tree, r).to_text(),
+                                   "new_name": "r2"}, "op1", ADAPTER)
+        # the slice arrives in r after the clone, so r2 lacks it
+        r.child_named("project.manifest").content = ["name: r", "slices: slices/d"]
+        mani = tree.new_node(FILE, "project.manifest", content=["name: d"])
+        lib = tree.new_node(FILE, "lib.mini", content=["def g {", "}"])
+        r.children.append(tree.new_node(FOLDER, "slices", children=[
+            tree.new_node(FOLDER, "d", children=[mani, lib])]))
+        r.feature_model.root.children = [Feature("F", "op_f")]
+        lib.mapped_features = {("r", "F")}
+        r2 = tree.find_repository("r2")
+        record = apply_clone_feature(tree, {
+            "source_repo": "r", "target_repo": "r2",
+            "feature": make_feature_ref(r, r.feature_model.find(("r", "F"))).to_text(),
+            "target_parent": make_feature_ref(r2, r2.feature_model.root).to_text()},
+            "op2", ADAPTER)
+        update = [s for s in record.sub_ops if s.kind == "UpdateManifest"]
+        assert [s.params["asset"] for s in update] == ["1:/r2/project.manifest"]
+        assert ADAPTER.manifest_parse(update[0].params["content"]).slices == ["slices/d"]
+        assert [s.params for s in record.sub_ops if s.kind == "CloneAsset"] == [
+            {"source": "0:/r/slices/d/lib.mini", "target": "1:/r2/slices/d/lib.mini",
+             "index": 0, "features": ["r/F"]},
+            {"source": "0:/r/slices/d/project.manifest",
+             "target": "1:/r2/slices/d/project.manifest", "index": 1, "features": []}]
+        slice_dir = r2.child_named("slices").child_named("d")
+        assert [(n.name, m.flatten_lines(n)) for n in slice_dir.children] == [
+            ("lib.mini", ["def g {", "}"]), ("project.manifest", ["name: d"])]
+        assert [(t.source_node, t.target_node) for t in tree.traces.traces
+                if t.op_id == "op2"] == [(lib.node_id, slice_dir.children[0].node_id),
+                                         (mani.node_id, slice_dir.children[1].node_id)]
+        assert check_tree(tree, ADAPTER) == []
 
     def test_default_integration_index_after_traced_predecessor(self):
         tree, r1, r2 = self._variant_pair()
         ref = make_feature_ref(r2, r2.feature_model.find(("r", "F")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op2", ADAPTER)
         src = make_feature_ref(r1, r1.feature_model.find(("r", "F")))
         tgt = make_feature_ref(r2, r2.feature_model.root)
         apply_clone_feature(tree, {
             "source_repo": "r", "target_repo": "r2",
-            "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3")
+            "feature": src.to_text(), "target_parent": tgt.to_text()}, "op3", ADAPTER)
         # in r1, a.mini comes first; with no traced predecessor it lands at
         # the index right after the last twin preceding it (none -> append)
         names = [c.name for c in r2.children]
@@ -294,12 +332,12 @@ class TestRecordRoundTrip:
                       "line": rng.randrange(m.file_line_count(f))}
             if mutation != "deleteLine":
                 params["donor_line"] = f"donor {i}"
-            records.append(execute(tree, "MutateAsset", params, f"op{i}"))
+            records.append(execute(tree, "MutateAsset", params, f"op{i}", ADAPTER))
             tree.revision += 1
         replayed = start
         for rec in records:
             data = rec.to_dict()
-            execute(replayed, data["kind"], data["params"], data["op_id"])
+            execute(replayed, data["kind"], data["params"], data["op_id"], ADAPTER)
             replayed.revision += 1
         assert structurally_equal(tree.root, replayed.root)
         assert replayed.revision == tree.revision
@@ -346,7 +384,7 @@ class TestTransactions:
         result = run_in_transaction(
             tree, "MutateAsset",
             {"target": "0:/r/a.mini", "mutation": "deleteLine", "line": 9},
-            "op1", lambda p: [])
+            "op1", lambda p: [], ADAPTER)
         assert isinstance(result, RolledBack)
         assert "BadIndex" in result.reason
 
@@ -360,6 +398,6 @@ class TestTransactions:
         result = run_in_transaction(
             tree, "MutateAsset",
             {"target": "0:/r/a.mini", "mutation": "deleteLine", "line": 0},
-            "op1", boom)
+            "op1", boom, ADAPTER)
         assert isinstance(result, RolledBack)
         assert "checkerError" in result.reason

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from evogen.history import feature_state, read_ledger, replay_history
+from evogen.minilang import MinilangAdapter
 from evogen.model import FILE, AssetTree
 from evogen.operations import apply_clone_variant
 from evogen.refs import (AssetRef, make_asset_ref, repository_refs,
@@ -23,6 +24,8 @@ from evogen.runner import PRESET_NAMES, RunConfig, run
 
 from conftest import (CLONE_FEATURE_MIX, build_repo, mix_config,
                       random_structured_tree)
+
+ADAPTER = MinilangAdapter()
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 100 for name in PRESET_NAMES}, "variants": 50}
@@ -110,7 +113,7 @@ def test_clone_variant_traces_search_once_per_side(monkeypatch):
     tree = _three_mapped_repositories()
     calls = _count_path_to(monkeypatch)
     source = AssetRef(tree.revision, "/b").to_text()
-    apply_clone_variant(tree, {"source": source, "new_name": "b_v1"}, "op1")
+    apply_clone_variant(tree, {"source": source, "new_name": "b_v1"}, "op1", ADAPTER)
     assert len(calls) <= 2
     assert len(tree.traces.traces) == sum(1 for _ in tree.repositories[1].iter_nodes())
 

@@ -4,8 +4,8 @@ import pytest
 
 from evogen.errors import DanglingRef, NotInTree, StaleRef, UnknownFeature
 from evogen.model import AssetTree, BLOCK, FILE, Feature, FeatureModel, LINE
-from evogen.refs import (AssetRef, FeatureRef, make_asset_ref,
-                         make_feature_lpq, resolve_asset_ref, resolve_lpq)
+from evogen.refs import (AssetRef, FeatureRef, lpq_to_full_path, make_asset_ref,
+                         make_feature_lpq, resolve_asset_ref)
 
 from conftest import build_repo, random_structured_tree
 
@@ -124,7 +124,7 @@ class TestLpq:
         for path in all_paths:
             feature = m.find(path)
             lpq = make_feature_lpq(m, feature)
-            assert resolve_lpq(m, lpq) is feature
+            assert m.find(lpq_to_full_path(m, lpq)) is feature
             # brute-force minimality: every strictly shorter suffix ambiguous
             for k in range(1, len(lpq)):
                 shorter = lpq[k:]

@@ -1,6 +1,7 @@
 import pytest
 
 from evogen.errors import EvogenError
+from evogen.minilang import MinilangAdapter
 from evogen.model import AssetTree, Feature
 from evogen.operations import apply_clone_variant
 from evogen.refs import make_asset_ref
@@ -11,13 +12,15 @@ from evogen.stats import (compute_metrics, distinct_feature_count,
 
 from conftest import build_repo
 
+ADAPTER = MinilangAdapter()
+
 
 def two_variant_tree():
     tree = AssetTree()
     repo = build_repo(tree, "r", {"a.mini": ["1", "2", "3"], "b.mini": ["4"]})
     repo.feature_model.root.children = [Feature("F", "opF"), Feature("G", "opG")]
     apply_clone_variant(tree, {"source": make_asset_ref(tree, repo).to_text(),
-                               "new_name": "r_v1"}, "op1")
+                               "new_name": "r_v1"}, "op1", ADAPTER)
     tree.revision += 1
     return tree
 

@@ -10,6 +10,7 @@ from evogen.errors import (DonorIoError, ForbiddenInsertionPoint,
 from evogen.history import _repo_files, materialize_tree, parse_initial_system
 from evogen.minilang import check_snapshot_dir
 from evogen.model import BLOCK
+from evogen.operations import RolledBack, run_in_transaction
 from evogen.refs import AssetRef, make_asset_ref
 from evogen.runner import RunConfig, run
 from evogen.transplant import (apply_transplant_feature, extract_organ,
@@ -274,7 +275,7 @@ class TestIntegration:
         tree.revision += 1
         calc = tree.find_repository("calc")
         apply_clone_variant(tree, {"source": make_asset_ref(tree, calc).to_text(),
-                                   "new_name": "calc_v2"}, "op2")
+                                   "new_name": "calc_v2"}, "op2", adapter)
         tree.revision += 1
         # remove the transplanted feature from the clone, then transplant the
         # same test into the clone again: slice files come via clone traces
@@ -282,7 +283,7 @@ class TestIntegration:
         from evogen.refs import make_feature_ref
         v2 = tree.find_repository("calc_v2")
         ref = make_feature_ref(v2, v2.feature_model.find(("calc", "widget_case0")))
-        apply_remove_feature(tree, {"feature": ref.to_text()}, "op3")
+        apply_remove_feature(tree, {"feature": ref.to_text()}, "op3", adapter)
         tree.revision += 1
         p1 = self._transplant_params(tree, donor, adapter, "widget_case0",
                                      repo_name="calc_v2")
@@ -351,6 +352,15 @@ class TestIntegration:
         bad = dict(params, insertion_parent=f"{tree.revision}:/calc#0")
         with pytest.raises(ForbiddenInsertionPoint):
             apply_transplant_feature(tree, bad, "opX", adapter=adapter)
+
+    @pytest.mark.parametrize("index", [-1, 999, True])
+    def test_insertion_index_outside_the_file_raises(self, tmp_path, adapter, index):
+        tree, donor = self._system_tree(tmp_path, adapter)
+        params = dict(self._transplant_params(tree, donor, adapter), insertion_index=index)
+        result = run_in_transaction(tree, "TransplantFeature", params, "op1",
+                                    lambda t: [], adapter)
+        assert isinstance(result, RolledBack)
+        assert result.reason.startswith(f"BadIndex: {index!r} in ")
 
     def test_replay_from_params_is_identical(self, tmp_path, adapter):
         """The recorded params alone (organ dump included) reproduce the
