@@ -158,14 +158,13 @@ def clone_feature_triples(tree: AssetTree) -> list[tuple[AssetNode, AssetNode, t
     source."""
     triples = []
     repos = tree.repositories
-    chains = tree.clone_ancestors()
     for src in repos:
         if src.feature_model is None:
             continue
         for tgt in repos:
             if tgt is src or tgt.feature_model is None:
                 continue
-            if src.node_id not in chains[tgt.node_id]:
+            if src.node_id not in tree.traces.lineage(tgt.node_id):
                 continue
             tgt_features = list(tgt.feature_model.root.iter_features())
             tgt_origins = {f.origin for f in tgt_features}

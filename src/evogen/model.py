@@ -259,12 +259,19 @@ class CloneTrace:
 
 
 class TraceDb:
-    """Append-only store of clone traces.  Stores made by ``AssetTree.clone``
-    hold one list until either adds to it: its first add copies the list."""
+    """Append-only store of clone traces, with ``source`` beside the list:
+    each trace's target node id -> its source node id.
+
+    The traces form a forest, on two invariants: every trace targets a node
+    made for it, so no node is the target of two traces and ``source`` holds
+    one entry per trace; and no repository holds two nodes of one lineage
+    (see ``lineage``).  Stores made by ``AssetTree.clone`` hold one list and
+    one map until either adds to them: its first add copies both."""
 
     def __init__(self) -> None:
         self.traces: list[CloneTrace] = []
-        #: True while another store may hold ``traces``
+        self.source: dict[int, int] = {}
+        #: True while another store may hold ``traces`` and ``source``
         self._shared = False
 
     def add(self, trace: CloneTrace) -> CloneTrace:
@@ -272,23 +279,25 @@ class TraceDb:
             raise SelfTrace(trace.source_ref)
         if self._shared:
             self.traces = list(self.traces)
+            self.source = dict(self.source)
             self._shared = False
         self.traces.append(trace)
+        self.source[trace.target_node] = trace.source_node
         return trace
 
-    def neighbors(self, node_id: int) -> list[int]:
-        out = []
-        for t in self.traces:
-            if t.source_node == node_id:
-                out.append(t.target_node)
-            elif t.target_node == node_id:
-                out.append(t.source_node)
-        return out
+    def lineage(self, node_id: int) -> list[int]:
+        """[`node_id`, its source, its source's source, ...]; the last is
+        the root of the node's lineage, a node no trace targets."""
+        chain = [node_id]
+        while chain[-1] in self.source:
+            chain.append(self.source[chain[-1]])
+        return chain
 
     def share(self) -> "TraceDb":
-        """A store holding this store's list; each copies it on its next add."""
+        """A store holding this store's list and map; each copies them on
+        its next add."""
         twin = TraceDb()
-        twin.traces = self.traces
+        twin.traces, twin.source = self.traces, self.source
         self._shared = twin._shared = True
         return twin
 
@@ -399,48 +408,29 @@ class AssetTree:
 
     # trace-based correspondence
 
-    def clone_ancestors(self) -> dict[int, list[int]]:
-        """Each repository's clone chain, from one pass over the traces:
-        repository node id -> [its id, its source's id, that one's source's
-        id, ...].  It relies on two invariants: only CloneVariant's trace
-        targets a repository node, and no node is the target of two traces."""
-        source = {t.target_node: t.source_node for t in self.traces.traces}
-        chains = {}
-        for repo in self.repositories:
-            chain = [repo.node_id]
-            while chain[-1] in source:
-                chain.append(source[chain[-1]])
-            chains[repo.node_id] = chain
-        return chains
-
     def corresponding_asset(self, node: AssetNode,
                             target_repo: AssetNode) -> Optional[AssetNode]:
-        """The first node on the breadth-first clone-trace walk from `node`
-        that lies in `target_repo`, or None.  The walk visits `node` first,
-        so a node of `target_repo` answers for itself.  None means that no
-        trace chain reaches the repository: the asset postdates the
+        """The node of `target_repo` whose lineage root (see
+        ``TraceDb.lineage``) is `node`'s, so `node` itself when `target_repo`
+        holds it; no repository holds two such nodes.  None means that no
+        node of `target_repo` shares the lineage: the asset postdates the
         repository clone, or the repositories are unrelated."""
-        present = {n.node_id: n for n in target_repo.iter_nodes()}
-        seen = {node.node_id}
-        queue = [node.node_id]
-        for cur in queue:  # the queue grows while it is read: breadth-first
-            if cur in present:
-                return present[cur]
-            for nxt in self.traces.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        root = self.traces.lineage(node.node_id)[-1]
+        for candidate in target_repo.iter_nodes():
+            if self.traces.lineage(candidate.node_id)[-1] == root:
+                return candidate
         return None
 
     # copying
 
     def clone(self) -> "AssetTree":
         """A copy of the tree that shares every repository node and the trace
-        list with it.
+        store with it.
 
-        Only the root node and its child list are copied; the trace list is
-        copied by the first ``TraceDb.add`` on either side.  Afterwards both
-        trees name all repositories in ``shared``.  The write rule holds for
+        Only the root node and its child list are copied; the trace list and
+        map are copied by the first ``TraceDb.add`` on either side.
+        Afterwards both trees name all repositories in ``shared``.  The write
+        rule holds for
         every tree, a clone or not: change a repository only after ``own``,
         and look up every node you change anew after that call, since nodes
         found before it may belong to a shared copy.  After ``own(name)``

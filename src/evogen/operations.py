@@ -69,17 +69,17 @@ def _repository_name(fs_path: str) -> str:
 
 def text_param(value, what: str, name: bool = False) -> str:
     """`value`, text an operation takes from its params, when it is a line
-    or, with `name`, a repository name; else raises EvogenError.  A line is
-    a str holding no line break, so it renders as one line; a name is a
-    str holding no "/" that names a directory of its own, so neither empty
-    nor "." nor ".."."""
+    or, with `name`, a directory name (a repository's or a donor's); else
+    raises EvogenError.  A line is a str holding no line break, so it
+    renders as one line; a name is a str holding no "/" that names a
+    directory of its own, so neither empty nor "." nor ".."."""
     if name:
         valid = (isinstance(value, str) and value not in ("", ".", "..")
                  and "/" not in value)
     else:
         valid = isinstance(value, str) and value.splitlines() in ([value], [])
     if not valid:
-        raise EvogenError(f"{what} holds {value!r}, not a {'repository name' if name else 'line'}")
+        raise EvogenError(f"{what} holds {value!r}, not a {'directory name' if name else 'line'}")
     return value
 
 
@@ -244,8 +244,9 @@ def apply_clone_feature(tree: AssetTree, params: dict, op_id: str,
     tree.own(params.get("target_repo"))
     src_repo = tree.find_repository(params["source_repo"])
     tgt_repo = tree.find_repository(params["target_repo"])
-    roots = {repo_id: chain[-1] for repo_id, chain in tree.clone_ancestors().items()}
-    if src_repo is None or tgt_repo is None or roots[src_repo.node_id] != roots[tgt_repo.node_id]:
+    lineage = tree.traces.lineage
+    if (src_repo is None or tgt_repo is None
+            or lineage(src_repo.node_id)[-1] != lineage(tgt_repo.node_id)[-1]):
         raise UnrelatedRepositories(f"{params['source_repo']} / {params['target_repo']}")
     assert src_repo.feature_model is not None and tgt_repo.feature_model is not None
 

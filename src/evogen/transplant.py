@@ -29,7 +29,8 @@ from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
 
 def load_donor(path: Path, adapter) -> DonorProject:
     """Read a donor project directory into its immutable scan products.
-    Raises DonorIoError on a file that cannot be read or is not UTF-8 text."""
+    Raises DonorIoError on a file that cannot be read or is not UTF-8 text,
+    and EvogenError when the donor's name is no directory name."""
     path = Path(path)
     if not (path / MANIFEST_NAME).is_file():
         raise DonorIoError(f"not a donor project: {path}")
@@ -43,8 +44,10 @@ def load_donor(path: Path, adapter) -> DonorProject:
                  if data is not None and adapter.is_source_file(rel.rpartition("/")[2])}
     except (OSError, SnapshotIoError) as exc:
         raise DonorIoError(str(exc)) from exc
-    # a nameless donor goes by its directory's name, in its organs' manifests too
-    manifest.name = donor_id = manifest.name or path.name
+    # a nameless donor goes by its directory's name, in its organs' manifests
+    # too; either names the slice directory of its transplants
+    manifest.name = donor_id = text_param(manifest.name or path.name,
+                                          f"name of donor {path}", name=True)
 
     srcdir = manifest.extras.get("srcdir", "")
     testdir = manifest.extras.get("testdir", "")
@@ -175,7 +178,7 @@ def apply_transplant_feature(tree: AssetTree, params: dict, op_id: str,
     repo = tree.find_repository(params["repo"])
     if repo is None or repo.feature_model is None:
         raise EvogenError(f"unknown repository {params['repo']!r}")
-    donor_id = params["donor"]
+    donor_id = text_param(params["donor"], "donor", name=True)
     organ = params["organ"]
     for line in [*organ["imports"], *organ["body"], *organ["manifest"],
                  *(line for lines in organ["slice_files"].values() for line in lines)]:

@@ -2,6 +2,7 @@ import json
 import os
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -456,10 +457,11 @@ def random_repository(rng: random.Random) -> dict[str, list[str]]:
 
 # -- reference clone lineage -------------------------------------------------
 
-def reference_reach(tree: AssetTree, start: int, directed: bool) -> set[int]:
+def _reference_walk(tree: AssetTree, start: int, directed: bool) -> list[int]:
     """The node ids a breadth-first walk over the whole trace list reaches
-    from `start`, `start` included, following each trace from its source to
-    its target or, unless `directed`, both ways."""
+    from `start`, `start` first, in the order it reaches them, following
+    each trace from its source to its target or, unless `directed`, both
+    ways; a node's traces are followed in list order."""
     step: dict[int, list[int]] = {}
     for t in tree.traces.traces:
         step.setdefault(t.source_node, []).append(t.target_node)
@@ -471,7 +473,23 @@ def reference_reach(tree: AssetTree, start: int, directed: bool) -> set[int]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return seen
+    return queue
+
+
+def reference_reach(tree: AssetTree, start: int, directed: bool) -> set[int]:
+    """The node ids ``_reference_walk`` reaches from `start`, `start`
+    included."""
+    return set(_reference_walk(tree, start, directed))
+
+
+def reference_corresponding_asset(tree: AssetTree, node: AssetNode,
+                                  target_repo: AssetNode) -> Optional[AssetNode]:
+    """``AssetTree.corresponding_asset`` as a breadth-first walk: the first
+    node of `target_repo` that the walk over the whole trace list, both ways,
+    reaches from `node`, or None."""
+    present = {n.node_id: n for n in target_repo.iter_nodes()}
+    return next((present[i] for i in _reference_walk(tree, node.node_id, directed=False)
+                 if i in present), None)
 
 
 def reference_clone_feature_triples(tree: AssetTree) -> list[tuple[str, str, tuple]]:
@@ -495,8 +513,8 @@ def reference_clone_feature_triples(tree: AssetTree) -> list[tuple[str, str, tup
 
 
 def lineage_mismatches(tree: AssetTree, chains: dict[int, list[int]]) -> list[tuple[str, str]]:
-    """The ordered repository pairs (a, b) on which `chains`, a map as
-    ``AssetTree.clone_ancestors`` returns it, and ``reference_reach``
+    """The ordered repository pairs (a, b) on which `chains`, each
+    repository's node id -> its ``TraceDb.lineage``, and ``reference_reach``
     disagree: on whether b descends from a, or on whether the two are
     related (their chains end in one root)."""
     mismatches = []
@@ -517,8 +535,8 @@ def lineage_mismatches(tree: AssetTree, chains: dict[int, list[int]]) -> list[tu
 # resolvable, so only a replay that compares the record it yields with the
 # stored one sees them; each type tamper puts a param the operation takes on
 # trust at its peril, so the replay itself refuses it: text of the wrong
-# type, a repository name that names no directory of its own, an index that
-# is not an int, or a plan that is not a mapping.
+# type, a repository or donor name that names no directory of its own, an
+# index that is not an int, or a plan that is not a mapping.
 
 def _first_sub_op(records: list[dict], kind: str, accept=lambda params: True):
     return next((i, sub) for i, record in enumerate(records)
@@ -606,6 +624,8 @@ TYPE_TAMPERS = {
     "CloneVariant new_name is 5": _set_param("CloneVariant", "new_name", 5),
     "CloneVariant new_name is ..": _set_param("CloneVariant", "new_name", ".."),
     "CloneVariant new_name is .": _set_param("CloneVariant", "new_name", "."),
+    "TransplantFeature donor is ..": _set_param("TransplantFeature", "donor", ".."),
+    "TransplantFeature donor is a/b": _set_param("TransplantFeature", "donor", "a/b"),
     "MutateAsset line is true": _set_param("MutateAsset", "line", True),
     "TransplantFeature insertion_index is true":
         _set_param("TransplantFeature", "insertion_index", True),

@@ -19,7 +19,8 @@ must share every repository it did not ``own`` with the input tree, hold a
 separate copy, with the same node ids, of the one another operation owned,
 and, for a line edit, copy only the nodes on the edited file's path and that
 file's subtree.  With ``own`` ignoring the path, or with ``TraceDb.add``
-appending to a list another tree holds, that oracle must fail.
+appending to a list, or writing to a target -> source map, that another tree
+holds, that oracle must fail.
 """
 
 import copy
@@ -331,7 +332,7 @@ def _transaction_oracle(mix, oracle_corpus, tmp_path, monkeypatch) -> dict:
         traces = tree.traces.traces
         return {"render": fresh,
                 "feature state": reference_feature_state(tree),
-                "traces": (len(traces), list(traces)),
+                "traces": (len(traces), list(traces), dict(tree.traces.source)),
                 "donors": [copy.deepcopy(vars(d)) for d in seen["loaded"]]}
 
     def checked_transaction(tree, kind, *args, **kwargs):
@@ -380,6 +381,21 @@ def test_transaction_oracle_fails_when_traces_are_added_to_a_shared_list(
         oracle_corpus, tmp_path, monkeypatch):
     def add(db, trace):
         db.traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(model.TraceDb, "add", add)
+    seen = _transaction_oracle("variants", oracle_corpus, tmp_path, monkeypatch)
+    assert {what for _, what in seen["changed"]} == {"traces"}
+
+
+def test_transaction_oracle_fails_when_sources_are_written_to_a_shared_map(
+        oracle_corpus, tmp_path, monkeypatch):
+    def add(db, trace):
+        if db._shared:
+            db.traces = list(db.traces)
+            db._shared = False
+        db.traces.append(trace)
+        db.source[trace.target_node] = trace.source_node
         return trace
 
     monkeypatch.setattr(model.TraceDb, "add", add)

@@ -76,6 +76,24 @@ class TestGenerate:
         assert isinstance(result.exception, SystemExit)
         assert "widget/src/lib/mod1.mini: not UTF-8 text" in result.output
 
+    @pytest.mark.parametrize("name", ["a/b", "..", "."])
+    def test_donor_name_no_directory_name_exit_two(self, runner, tmp_path, name):
+        """The donor's name would become a folder ``slices/<name>``: refused
+        before anything is written."""
+        system = write_initial_system(tmp_path / "in")
+        donor = write_donor(tmp_path / "donors", "widget")
+        manifest = donor / "project.manifest"
+        manifest.write_text(manifest.read_text().replace("name: widget", f"name: {name}"))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "generate", "--preset", "growing-system", "--seed", "1",
+            "--system", str(system), "--donor", str(donor), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        message = f"name of donor {donor} holds {name!r}, not a directory name"
+        assert message in result.output
+        assert not out.exists()
+
     def test_nonempty_out_exit_three(self, runner, tmp_path):
         system = write_initial_system(tmp_path / "in")
         out = tmp_path / "out"

@@ -8,13 +8,22 @@ from evogen.generators import (GENERATOR_IDS, GENERATORS, GenContext,
                                gen_clone_feature, gen_clone_variant,
                                gen_remove_feature, gen_transplant)
 from evogen.minilang import MinilangAdapter
-from evogen.model import AssetTree, Feature
-from evogen.operations import apply_clone_variant
+from evogen.model import AssetTree, Feature, FILE
+from evogen.operations import apply_clone_variant, execute
 from evogen.refs import make_asset_ref
 
 from conftest import build_repo, reference_clone_feature_triples
 
 ADAPTER = MinilangAdapter()
+
+
+class CountingList(list):
+    """A list that counts the iterations over it."""
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
 
 
 @pytest.fixture
@@ -150,27 +159,43 @@ class TestCloneFeature:
         assert [(s.name, t.name, p) for s, t, p in triples] == expected
         assert expected == [("r", "r_v1", ("r", "F"))]
 
-    @pytest.mark.parametrize("clones", [2, 6])
-    def test_one_pass_over_the_traces(self, clones):
-        """A draw reads the trace list at most once, however many
-        repositories the tree holds."""
+    def _counted_clones(self, clones):
+        """The pruned variant's tree and source repository plus `clones`
+        more clones, and the tree's trace list, which from then on counts
+        the iterations over it."""
         tree, r, _ = self._pruned_variant()
         for n in range(clones):
             source = tree.repositories[n // 2]
             apply_clone_variant(tree, {"source": make_asset_ref(tree, source).to_text(),
                                        "new_name": f"c{n}"}, f"clone{n}", ADAPTER)
             tree.revision += 1
-
-        class CountingList(list):
-            iterations = 0
-
-            def __iter__(self):
-                self.iterations += 1
-                return super().__iter__()
-
         traces = tree.traces.traces = CountingList(tree.traces.traces)
+        return tree, r, traces
+
+    @pytest.mark.parametrize("clones", [2, 6])
+    def test_draw_iterates_no_trace_list(self, clones):
+        """A draw never reads the trace list, however many repositories the
+        tree holds: descent comes from the trace store's source map."""
+        tree, _, traces = self._counted_clones(clones)
         assert clone_feature_triples(tree)
-        assert len(tree.repositories) == clones + 2 and traces.iterations <= 1
+        assert len(tree.repositories) == clones + 2 and traces.iterations == 0
+
+    @pytest.mark.parametrize("clones", [2, 6])
+    def test_clone_feature_iterates_no_trace_list(self, clones):
+        """CloneFeature, applied through ``execute``, decides relatedness and
+        finds a twin, a missing twin and the integration index without
+        reading the trace list."""
+        tree, r, traces = self._counted_clones(clones)
+        r.child_named("a.mini").mapped_features.add(("r", "F"))
+        late = tree.new_node(FILE, "late.mini", content=["def late {", "}"])
+        late.mapped_features.add(("r", "F"))
+        r.children.append(late)
+        record = execute(tree, "CloneFeature", {
+            "source_repo": "r", "target_repo": "r_v1", "feature": "/r!F",
+            "target_parent": "/r_v1!r", "plan": {}}, "op9", ADAPTER)
+        assert [sub.kind for sub in record.sub_ops] == ["AddFeature", "AddMapping",
+                                                        "CloneAsset"]
+        assert traces.iterations == 0 and len(traces) > 0
 
     def test_candidate_targets_model_root(self, ctx):
         tree, r, v1 = self._pruned_variant()

@@ -291,12 +291,14 @@ class TestLedgerTampers:
         "TransplantFeature organ.imports holds an int": "EvogenError: organ holds 5, not a line",
         "TransplantFeature organ.manifest holds an int":
             "EvogenError: organ holds 3, not a line",
-        "CloneVariant new_name is 5": "EvogenError: new_name holds 5, not a repository name",
+        "CloneVariant new_name is 5": "EvogenError: new_name holds 5, not a directory name",
         "op ids renumbered op9999": "record differs from its replay in op_id, sub_ops",
         "op_id is 5": "record differs from its replay in op_id",
         "CloneVariant new_name is ..":
-            "EvogenError: new_name holds '..', not a repository name",
-        "CloneVariant new_name is .": "EvogenError: new_name holds '.', not a repository name",
+            "EvogenError: new_name holds '..', not a directory name",
+        "CloneVariant new_name is .": "EvogenError: new_name holds '.', not a directory name",
+        "TransplantFeature donor is ..": "EvogenError: donor holds '..', not a directory name",
+        "TransplantFeature donor is a/b": "EvogenError: donor holds 'a/b', not a directory name",
         "MutateAsset line is true": "BadIndex: True in mod0.mini",
         "TransplantFeature insertion_index is true": "BadIndex: True in main.mini",
         "CloneFeature plan is a list": "EvogenError: plan holds [1], not a mapping",

@@ -13,7 +13,7 @@ from evogen.refs import make_asset_ref
 from evogen.transplant import load_donor
 
 from conftest import (build_repo, random_fs_tree, reference_feature_state,
-                      removal_matches_reference, removal_outcome,
+                      reference_reach, removal_matches_reference, removal_outcome,
                       structurally_equal, write_donor, write_initial_system)
 
 ADAPTER = MinilangAdapter()
@@ -108,14 +108,10 @@ class TestTraces:
                     reachable.add(t.target_node)
                     changed = True
         assert 3 in reachable
-        # and the db agrees via neighbor expansion
-        seen, frontier = {1}, [1]
-        while frontier:
-            for n in tree.traces.neighbors(frontier.pop()):
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        assert reachable <= seen
+        # and the reference walk and the lineage of each node agree
+        assert reachable <= reference_reach(tree, 1, directed=False)
+        assert tree.traces.lineage(3) == [3, 2, 1]
+        assert all(1 in tree.traces.lineage(n) for n in reachable)
 
 
 class TestCorrespondingAsset:
@@ -162,14 +158,10 @@ class TestCorrespondingAsset:
         a = r1.child_named("sub").child_named("b.mini")
         twin = tree.corresponding_asset(a, r3)
         assert twin is r3.child_named("sub").child_named("b.mini")
-        # brute-force reachability oracle over the trace db
-        seen, frontier = {a.node_id}, [a.node_id]
-        while frontier:
-            for n in tree.traces.neighbors(frontier.pop()):
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        assert twin.node_id in seen
+        # brute-force reachability oracle over the trace list
+        assert twin.node_id in reference_reach(tree, a.node_id, directed=True)
+        assert tree.traces.lineage(twin.node_id)[-1] == a.node_id
+        assert len(tree.traces.lineage(twin.node_id)) == 3
 
 
 class TestLineEdits:
@@ -336,6 +328,7 @@ class TestCopyOnWrite:
         tree.traces.add(CloneTrace("op0", "0:/a", "0:/b", 1, 2))
         twin = tree.clone()
         assert twin.traces.traces is tree.traces.traces
+        assert twin.traces.source is tree.traces.source
         twin.traces.add(CloneTrace("op1", "0:/b", "0:/c", 2, 3))
         assert [t.op_id for t in tree.traces.traces] == ["op0"]
         assert [t.op_id for t in twin.traces.traces] == ["op0", "op1"]
@@ -343,3 +336,13 @@ class TestCopyOnWrite:
         tree.traces.add(CloneTrace("op2", "0:/a", "0:/d", 1, 4))
         assert [t.op_id for t in third.traces.traces] == ["op0"]
         assert [t.op_id for t in tree.traces.traces] == ["op0", "op2"]
+        # the target -> source map is shared and copied with the list
+        assert third.traces.source == {2: 1}
+        assert twin.traces.source == {2: 1, 3: 2}
+        assert tree.traces.source == {2: 1, 4: 1}
+        fourth = twin.clone()
+        assert fourth.traces.source is twin.traces.source
+        fourth.traces.add(CloneTrace("op3", "0:/c", "0:/e", 3, 5))
+        assert twin.traces.source == {2: 1, 3: 2}
+        assert fourth.traces.lineage(5) == [5, 3, 2, 1]
+        assert twin.traces.lineage(5) == [5]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from evogen import model as m
-from evogen.errors import (DonorIoError, ForbiddenInsertionPoint,
+from evogen.errors import (DonorIoError, EvogenError, ForbiddenInsertionPoint,
                            MissingDependency, NotModular)
 from evogen.history import _repo_files, materialize_tree, parse_initial_system
 from evogen.minilang import check_snapshot_dir
@@ -48,6 +48,24 @@ class TestLoadDonor:
         (donor / rel).write_bytes(b"name: w\n\xff\n")
         with pytest.raises(DonorIoError, match=f"widget/{rel}: not UTF-8 text"):
             load_donor(donor, adapter)
+
+    @pytest.mark.parametrize("name", ["a/b", "..", "."])
+    def test_name_that_is_no_directory_name_raises(self, tmp_path, adapter, name):
+        """A donor's name becomes the directory ``slices/<name>`` of its
+        transplants, so it must name a directory of its own."""
+        donor = write_donor(tmp_path, "widget")
+        manifest = donor / "project.manifest"
+        manifest.write_text(manifest.read_text().replace("name: widget", f"name: {name}"))
+        with pytest.raises(EvogenError, match=f"holds {name!r}, not a directory name"):
+            load_donor(donor, adapter)
+
+    def test_nameless_donor_named_dotdot_raises(self, tmp_path, adapter):
+        donor = write_donor(tmp_path, "anon")
+        manifest = donor / "project.manifest"
+        manifest.write_text(manifest.read_text().replace("name: anon\n", ""))
+        (donor / "sub").mkdir()
+        with pytest.raises(EvogenError, match="holds '..', not a directory name"):
+            load_donor(donor / "sub" / "..", adapter)
 
     def test_unresolved_source_import_raises(self, tmp_path, adapter):
         donor = write_donor(tmp_path, "bad")
