@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -241,6 +240,7 @@ def write_snapshot(tree: AssetTree, revision: int, out_dir: Path,
     target = revisions / f"{revision:04d}"
     try:
         if target.exists():
+            import shutil  # only a rewritten revision needs it
             shutil.rmtree(target)
         _write_tree(files, target, previous, revisions / f"{revision - 1:04d}")
     except OSError as exc:

@@ -11,14 +11,12 @@ from __future__ import annotations
 import json
 import random
 import re
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
+from . import PRESET_NAMES
 from .errors import (BadDistribution, EvogenError, InvalidInitialSystem,
                      LedgerIoError, SnapshotIoError)
 from .generators import GENERATOR_IDS, GenContext, generate
@@ -143,8 +141,10 @@ def _weights(value) -> bool:
 
 
 def preset(name: str) -> RunConfig:
-    """Shipped probability presets; cloning generators sit at 0.01 each and
-    the remaining 0.98 is split per preset."""
+    """The shipped probability preset `name`, one of PRESET_NAMES; cloning
+    generators sit at 0.01 each and the remaining 0.98 is split per preset."""
+    if name not in PRESET_NAMES:
+        raise EvogenError(f"unknown preset {name!r}")
     clones = {"cloneVariant": 0.01, "cloneFeature": 0.01}
     if name == "uniform-generators":
         dist = {g: 0.98 / 5 for g in
@@ -152,16 +152,11 @@ def preset(name: str) -> RunConfig:
     elif name == "uniform-operations":
         dist = {"transplant": 0.98 / 3, "removeFeature": 0.98 / 3,
                 "mutAdd": 0.98 / 9, "mutReplace": 0.98 / 9, "mutDelete": 0.98 / 9}
-    elif name == "growing-system":
+    else:  # growing-system
         dist = {"mutAdd": 0.2, "mutReplace": 0.2, "mutDelete": 0.2,
                 "transplant": 0.29, "removeFeature": 0.09}
-    else:
-        raise EvogenError(f"unknown preset {name!r}")
     dist.update(clones)
     return RunConfig(distribution={g: dist[g] for g in GENERATOR_IDS})
-
-
-PRESET_NAMES = ("uniform-generators", "uniform-operations", "growing-system")
 
 
 # -- generator selection -----------------------------------------------------
@@ -195,6 +190,12 @@ def make_checker(config: RunConfig, adapter) -> Callable[[AssetTree], list[str]]
     if config.checker_kind == EXTERNAL_CHECKER:
         if not config.checker_cmd:
             raise EvogenError("externalCommand checker needs checker.cmd")
+
+        # imported here, not at the top: only an external command needs a
+        # process and a scratch directory, so the bundled gate starts faster
+        import shutil
+        import subprocess
+        import tempfile
 
         def run_cmd(tree: AssetTree) -> list[str]:
             # imported here: perfbench/tracer.py refuses module-level bindings

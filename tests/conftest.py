@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
+from evogen.cli import main
 from evogen.errors import ManifestParseError
 from evogen.history import SCHEMA_VERSION, parse_initial_system
 from evogen.minilang import MinilangAdapter
@@ -20,6 +24,32 @@ from evogen.transplant import load_donor
 @pytest.fixture
 def adapter():
     return MinilangAdapter()
+
+
+# -- the command line in this process ----------------------------------------
+
+@dataclass
+class Invocation:
+    exit_code: int
+    output: str                           # stdout and stderr, interleaved
+    exception: Optional[BaseException]    # None when the command exits 0
+
+
+def invoke(args: list[str]) -> Invocation:
+    """Run ``evogen ARGS`` in this process, as the console script does, and
+    keep its exit code and its output.  A non-zero exit keeps the
+    SystemExit as `exception`; any other exception is kept, with code 1."""
+    output = io.StringIO()
+    exception = None
+    with redirect_stdout(output), redirect_stderr(output):
+        try:
+            main(args=[str(arg) for arg in args], prog_name="evogen")
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return Invocation(code, output.getvalue(), exception)
 
 
 # -- on-disk fixtures --------------------------------------------------------

@@ -10,9 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from evogen.cli import main
 from evogen.history import validate_history
 from evogen.minilang import MinilangAdapter
 
@@ -21,6 +19,8 @@ sys.path.insert(0, str(PERFBENCH))
 
 import run as perfbench  # noqa: E402
 from corpus import write_corpus  # noqa: E402
+
+from conftest import invoke  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(perfbench.WORKLOADS))
@@ -32,7 +32,7 @@ def test_history_hashes_to_the_pinned_digest(name, tmp_path):
     config.write_text(bench.config_yaml(), encoding="utf-8")
     bench.system, bench.donors, bench.config = system, donors, config
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, bench.generate_args(out))
+    result = invoke(bench.generate_args(out))
     assert result.exit_code == 0, result.output
     assert perfbench.history_digest(out) == workload.digest
     report = validate_history(out, MinilangAdapter())

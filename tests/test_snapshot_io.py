@@ -24,18 +24,16 @@ from contextlib import nullcontext
 from pathlib import Path, PurePath
 
 import pytest
-from click.testing import CliRunner
 
 from evogen import history as history_module
-from evogen.cli import main
 from evogen.errors import SnapshotIoError
 from evogen.history import _read_snapshot, feature_state, write_snapshot
 from evogen.model import FILE, Feature, FeatureModel
 from evogen.runner import PRESET_NAMES, run
 
-from conftest import (SPECIAL_ENTRIES, make_special_entry, mix_config, random_fs_tree,
-                      random_structured_tree, reference_feature_state, write_donor,
-                      write_initial_system)
+from conftest import (SPECIAL_ENTRIES, invoke, make_special_entry, mix_config,
+                      random_fs_tree, random_structured_tree, reference_feature_state,
+                      write_donor, write_initial_system)
 
 #: mix -> iterations; the three presets, then the variants mix
 MIXES = {**{name: 120 for name in PRESET_NAMES}, "variants": 50}
@@ -209,7 +207,7 @@ TAMPERS = {
 
 
 def _validation_json(out: Path) -> tuple[int, bytes]:
-    result = CliRunner().invoke(main, ["validate", str(out)])
+    result = invoke(["validate", str(out)])
     return result.exit_code, (out / "validation.json").read_bytes()
 
 
