@@ -92,7 +92,7 @@ def generate(parser: argparse.ArgumentParser, options: argparse.Namespace) -> in
         _say(f"invalid initial system: {exc}", err=True)
         return 2
     except (LedgerIoError, SnapshotIoError, OSError) as exc:
-        _say(f"i/o failure, history truncated: {exc}", err=True)
+        _say(f"i/o failure: {exc}", err=True)
         return 3
     except EvogenError as exc:
         _say(f"error: {exc}", err=True)

@@ -55,7 +55,7 @@ from .model import (AssetNode, AssetTree, CloneTrace, FILE, FOLDER, Feature,
 from .operations import execute, mint_op_id
 # make_asset_ref is unused here, but perfbench/tracer.py patches
 # history.make_asset_ref, so the binding stays until the benchmark drops it
-from .refs import make_asset_ref, repository_refs  # noqa: F401
+from .refs import check_ref_name, make_asset_ref, repository_refs  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -147,7 +147,11 @@ def _build_tree(files: Snapshot) -> AssetTree:
 def parse_initial_system(path: Path) -> AssetTree:
     """The codebase at `path` becomes the single initial repository, named after it."""
     path = Path(os.path.abspath(path))
-    return _build_tree({path.name: None} | _read_snapshot(path, f"{path.name}/"))
+    files = {path.name: None} | _read_snapshot(path, f"{path.name}/")
+    check_ref_name(path.name, f"repository name {path.name}", "!")
+    for rel in files:
+        check_ref_name(rel, rel)
+    return _build_tree(files)
 
 
 def parse_snapshot(path: Path) -> AssetTree:
@@ -385,9 +389,13 @@ def _shape_problem(record: dict, where: str = "") -> Optional[str]:
 
 def read_ledger(out_dir: Path) -> list[dict]:
     """The ledger's records, in commit order.  Raises ReplayDivergence at the
+    ``Truncated`` marker of a run that stopped on an I/O failure, else at the
     first line that does not parse, lacks one of LEDGER_KEYS or is not of
     the shape ``_shape_problem`` requires."""
     records = _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
+    for i, record in enumerate(records):
+        if isinstance(record, dict) and record.get("kind") == "Truncated":
+            raise ReplayDivergence(i, f"history truncated: {record.get('reason')}")
     _require_keys(records, LEDGER_KEYS, "ledger")
     for i, record in enumerate(records):
         problem = _shape_problem(record)

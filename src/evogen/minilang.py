@@ -12,12 +12,12 @@ every language-specific hook the engine needs:
 * the manifest is a ``project.manifest`` file of ``key: value`` lines with the
   keys ``name``, ``deps``, ``slices``, ``srcdir``, ``testdir``
 
-``check_repository`` checks a repository in two steps: ``check_context``
-reads the manifests and the source paths once, then ``source_problems`` takes
-each source's facts (``file_facts``) and resolves its imports.  Disk snapshots
-(``check_files``) and kept renders (``check_tree``) run the same two steps;
-``check_tree`` keeps the context and each source's problems on the
-repository's node.
+A repository is checked in two steps: ``check_context`` reads the manifests
+and the source paths once, then ``source_problems`` takes each source's facts
+(``file_facts``) and resolves its imports.  One join, ``_problems``, runs them
+on a repository's snapshot entries and keeps their results in a dict: the
+repository node's for a kept render (``check_tree``), an empty one for each
+repository of a disk snapshot (``check_files``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import Callable, Collection, Optional
 
 from .errors import ManifestParseError, utf8_text
 from .history import Snapshot, _read_snapshot, _repo_files
-from .model import (MANIFEST_NAME, AssetNode, AssetTree, ManifestModel,
-                    TestCandidate)
+from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
 
 SOURCE_SUFFIX = ".mini"
 
@@ -93,7 +92,8 @@ class MinilangAdapter:
         return out
 
     def scan_tests(self, relpath: str, lines: list[str]) -> list[TestCandidate]:
-        """Annotated test blocks of one file, in line order."""
+        """Annotated test blocks of one file, in line order; none whose name,
+        which becomes a feature's, is empty or holds a "/" (see ``refs``)."""
         imports = self.scan_imports(lines)
         import_modules = {self.import_module(ln) for ln in imports}
         defs = self.defined_symbols(lines)
@@ -106,7 +106,7 @@ class MinilangAdapter:
                 continue
             name = header[len("test "):-1].strip()
             end = self._matching_close(lines, i + 1)
-            if end is None or not name:
+            if end is None or not name or "/" in name:
                 continue
             body = lines[i + 1:end + 1]
             referenced = self.symbol_scan(body)
@@ -270,39 +270,22 @@ def source_problems(context: CheckContext, path: str, in_slice: bool,
     return problems
 
 
-def check_repository(files: dict[str, list[str]], adapter: MinilangAdapter) -> list[str]:
-    """Problems of one repository, given as repository-relative path ->
-    lines of its sources and manifests; empty means compilable: the
-    context's problems, then each source's, in the context's order."""
-    context = check_context(files, files.__getitem__, adapter)
-    return [*context.problems,
-            *(problem for path, in_slice in context.sources
-              for problem in source_problems(context, path, in_slice, files[path],
-                                             adapter))]
-
-
 def check_files(files: Snapshot, adapter: MinilangAdapter) -> list[str]:
     """Problems of a snapshot map (``history.Snapshot``), the form
     ``history._tree_files`` renders a tree in and ``history._read_snapshot``
     reads a directory in; empty means compilable.
 
-    Repositories are the top-level folders, checked in name order; each
-    problem is led by its repository's name.  Raises SnapshotIoError naming
-    a checked file that is not UTF-8 text.
+    Repositories are the top-level folders, checked in name order, each with
+    nothing kept.  Raises SnapshotIoError naming a checked file that is not
+    UTF-8 text.
     """
-    repos: dict[str, dict[str, bytes]] = {}
+    repos: dict[str, Snapshot] = {}
     for rel, data in files.items():
-        repo, _, path = rel.partition("/")
-        base = path.rpartition("/")[2]
-        if data is not None and path and (base == MANIFEST_NAME or adapter.is_source_file(base)):
-            repos.setdefault(repo, {})[path] = data
-    problems = []
-    for name, checked in sorted(repos.items()):
-        found = check_repository(
-            {path: utf8_text(data, f"{name}/{path}").splitlines()
-             for path, data in checked.items()}, adapter)
-        problems.extend(f"{name}/{msg}" for msg in found)
-    return problems
+        name, sep, _ = rel.partition("/")
+        if sep:
+            repos.setdefault(name, {})[rel] = data
+    return [problem for name, entries in sorted(repos.items())
+            for problem in _problems(name, entries, {}, adapter)]
 
 
 def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
@@ -322,34 +305,31 @@ def check_snapshot_dir(snapshot_dir: Path, adapter: MinilangAdapter,
 def check_tree(tree: AssetTree, adapter: MinilangAdapter) -> list[str]:
     """``check_files`` on each repository's render, in name order, so it
     equals ``check_snapshot_dir`` on a materialized copy of the tree by
-    construction; each repository's problems are kept on its node."""
-    problems = []
-    for repo in sorted(tree.repositories, key=attrgetter("name")):
-        if "problems" not in repo.derived:
-            repo.derived["problems"] = _kept_problems(repo, adapter)
-        problems.extend(repo.derived["problems"])
-    return problems
+    construction; each repository's check values are kept on its node."""
+    return [problem for repo in sorted(tree.repositories, key=attrgetter("name"))
+            for problem in _problems(repo.name, _repo_files(repo), repo.derived, adapter)]
 
 
-def _kept_problems(repo: AssetNode, adapter: MinilangAdapter) -> list[str]:
-    """A repository's problems, joined from its check context and its
-    sources' problems, each kept on its node; a value an edit dropped (see
-    ``model._carried``) is computed again from the render."""
-    kept = repo.derived
-    files = _repo_files(repo)
-    prefix = f"{repo.name}/"
+def _problems(name: str, files: Snapshot, kept: dict, adapter: MinilangAdapter) -> list[str]:
+    """Repository `name`'s problems from its snapshot entries `files`: its
+    context's, then each source's, each led by ``<name>/``.  The context, each
+    source's problems and the list are taken from `kept`, else computed and
+    stored there.  Raises SnapshotIoError naming a read file that is not UTF-8."""
+    prefix = f"{name}/"
 
     def read(path: str) -> list[str]:
-        return files[prefix + path].decode("utf-8").splitlines()
+        return utf8_text(files[prefix + path], prefix + path).splitlines()
 
-    if "context" not in kept:
-        kept["context"] = check_context(
-            {rel[len(prefix):] for rel, data in files.items() if data is not None},
-            read, adapter)
-    context = kept["context"]
-    sources = kept.setdefault("sources", {})
-    for path, in_slice in context.sources:
-        if path not in sources:
-            sources[path] = source_problems(context, path, in_slice, read(path), adapter)
-    return [prefix + problem for problem in context.problems] + [
-        prefix + problem for path, _ in context.sources for problem in sources[path]]
+    if "problems" not in kept:
+        if "context" not in kept:
+            kept["context"] = check_context(
+                {rel[len(prefix):] for rel, data in files.items() if data is not None},
+                read, adapter)
+        context = kept["context"]
+        sources = kept.setdefault("sources", {})
+        for path, in_slice in context.sources:
+            if path not in sources:
+                sources[path] = source_problems(context, path, in_slice, read(path), adapter)
+        kept["problems"] = [prefix + problem for problem in context.problems] + [
+            prefix + problem for path, _ in context.sources for problem in sources[path]]
+    return kept["problems"]

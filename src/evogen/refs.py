@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .errors import DanglingRef, NotInTree, StaleRef, UnknownFeature
+from .errors import DanglingRef, EvogenError, NotInTree, StaleRef, UnknownFeature
 from .model import FS_KINDS, AssetNode, AssetTree, Feature, FeatureModel
 
 
@@ -50,6 +50,13 @@ class FeatureRef:
     def from_text(cls, text: str) -> "FeatureRef":
         repo, _, lpq = text.partition("!")
         return cls(repo, tuple(lpq.split("/")))
+
+
+def check_ref_name(name: str, what: str, stop: str = "#") -> None:
+    """Raise EvogenError naming `what` when `name`, which a ref's text holds,
+    holds `stop`: "#" ends an asset ref's path, "!" a feature ref's repository."""
+    if stop in name:
+        raise EvogenError(f"{what} holds {stop!r}, which a ref cannot carry")
 
 
 def _child_path(fs_path: str, index_path: tuple[int, ...], child: AssetNode,

@@ -354,7 +354,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
             append_ledger({"kind": "Truncated", "reason": str(exc)}, out_dir)
         except LedgerIoError:
             pass
-        raise LedgerIoError(str(exc)) from exc
+        raise LedgerIoError(f"history truncated: {exc}") from exc
     finally:
         debug.close()
 

@@ -22,7 +22,7 @@ from .model import (AssetNode, AssetTree, BLOCK, CloneTrace, DonorProject,
                     FILE, LINE, MANIFEST_NAME, ManifestModel, TestCandidate)
 from .operations import (OperationRecord, SLICES_DIR, ensure_folder_path,
                          text_param, update_manifest_asset)
-from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
+from .refs import AssetRef, check_ref_name, make_asset_ref, repository_refs, resolve_asset_ref
 
 
 # -- donor loading and scanning ----------------------------------------------
@@ -30,7 +30,8 @@ from .refs import AssetRef, make_asset_ref, repository_refs, resolve_asset_ref
 def load_donor(path: Path, adapter) -> DonorProject:
     """Read a donor project directory into its immutable scan products.
     Raises DonorIoError on a file that cannot be read or is not UTF-8 text,
-    and EvogenError when the donor's name is no directory name."""
+    and EvogenError when the donor's name is no directory name or when it,
+    or the path a source file would have in a slice, holds a "#"."""
     path = Path(path)
     if not (path / MANIFEST_NAME).is_file():
         raise DonorIoError(f"not a donor project: {path}")
@@ -48,6 +49,7 @@ def load_donor(path: Path, adapter) -> DonorProject:
     # too; either names the slice directory of its transplants
     manifest.name = donor_id = text_param(manifest.name or path.name,
                                           f"name of donor {path}", name=True)
+    check_ref_name(donor_id, f"name of donor {path}")
 
     srcdir = manifest.extras.get("srcdir", "")
     testdir = manifest.extras.get("testdir", "")
@@ -58,6 +60,8 @@ def load_donor(path: Path, adapter) -> DonorProject:
     src_files = sorted(r for r in files
                        if under(srcdir, r) and not (testdir and under(testdir, r)))
     test_files = sorted(r for r in files if testdir and under(testdir, r))
+    for rel in src_files:  # each may become a slice file slices/<donor>/<rel>
+        check_ref_name(_src_rel(srcdir, rel), f"{donor_id}/{rel}")
     modules = {adapter.relpath_to_module(_src_rel(srcdir, r)): r for r in src_files}
 
     module_deps: dict[str, frozenset[str]] = {}

@@ -372,7 +372,8 @@ def reference_check_listing(files: dict[tuple[str, ...], list[str]],
                             adapter) -> list[str]:
     """The compilability check of one repository as first written: paths as
     tuples of parts, and one scan of the sources per slice root.  The
-    reference that ``minilang.check_repository`` must equal."""
+    reference that ``minilang.check_files`` must equal on a one-repository
+    map (``repository_snapshot``), each problem led by ``r/``."""
     manifest = ManifestModel(name="")
     if (MANIFEST_NAME,) in files:
         try:
@@ -459,8 +460,16 @@ def _manifest(rng: random.Random, name: str) -> list[str]:
     return lines
 
 
+def repository_snapshot(files: dict[str, list[str]], name: str = "r") -> dict:
+    """The snapshot map of one repository `name` holding `files`, given as
+    repository-relative path -> lines: each file's lines rendered with an
+    LF after each, as a snapshot stores them."""
+    return {f"{name}/{path}": "".join(line + "\n" for line in lines).encode("utf-8")
+            for path, lines in files.items()}
+
+
 def random_repository(rng: random.Random) -> dict[str, list[str]]:
-    """A repository as ``check_repository`` takes it: manifests whose
+    """A repository as ``repository_snapshot`` takes it: manifests whose
     ``slices`` and ``srcdir`` entries are drawn from ``_ENTRIES``, with
     duplicates, and sources of random braces and imports, some of them in
     a folder named like a source or at a path equal to a slice root."""

@@ -2,25 +2,25 @@
 compilability gate and transactions.
 
 A repository's render, check context, per-source problems, problems and
-feature-state fragment are kept on its node (``AssetNode.derived``).  On
-every attempt of seeded histories, rolled-back ones included, and at every
-revision ``validate_history`` replays, each kept value must equal the same
-value computed afresh on a copy of the node, and the gate's problem list must
-equal ``check_snapshot_dir`` on a materialized copy of the tree, and each
-repository's ``check_repository`` must equal ``reference_check_listing``, the
-check as first written over tuple paths.  A repository an attempt does not
-``own`` keeps the problem list the input tree's check left on it; one that a
-line edit owns by path keeps its check context and every source's problems
-but the edited file's.  With ``own`` disabled, with the fragment carried
-across every edit, or with the edited file's problems carried, the oracle
-must find stale values.  On the same attempts, ``run_in_transaction`` must
-leave its input tree as it found it, traces included, and its scratch copy
-must share every repository it did not ``own`` with the input tree, hold a
-separate copy, with the same node ids, of the one another operation owned,
-and, for a line edit, copy only the nodes on the edited file's path and that
-file's subtree.  With ``own`` ignoring the path, or with ``TraceDb.add``
-appending to a list, or writing to a target -> source map, that another tree
-holds, that oracle must fail.
+feature-state fragment are kept on its node (``AssetNode.derived``).  On every
+attempt of seeded histories, rolled-back ones included, and at every revision
+``validate_history`` replays, each kept value must equal the same value
+computed afresh on a copy of the node, and the gate's problem list must equal
+``check_snapshot_dir`` on a materialized copy of the tree, and ``check_files``
+on each repository's render must equal ``reference_check_listing``, the check
+as first written over tuple paths.  A repository an attempt does not ``own``
+keeps the problem list the input tree's check left on it; one that a line edit
+owns by path keeps its check context and every source's problems but the
+edited file's.  With ``own`` disabled, with the fragment carried across every
+edit, or with the edited file's problems carried, the oracle must find stale
+values.  On the same attempts, ``run_in_transaction`` must leave its input
+tree as it found it, traces included, and its scratch copy must share every
+repository it did not ``own`` with the input tree, hold a separate copy, with
+the same node ids, of the one another operation owned, and, for a line edit,
+copy only the nodes on the edited file's path and that file's subtree.  With
+``own`` ignoring the path, or with ``TraceDb.add`` appending to a list, or
+writing to a target -> source map, that another tree holds, that oracle must
+fail.
 """
 
 import copy
@@ -37,7 +37,7 @@ from evogen.history import (_repo_files, _repo_fragment, materialize_tree,
                             validate_history)
 from evogen.operations import Committed
 from evogen.minilang import (MinilangAdapter, check_context, check_files,
-                             check_repository, check_snapshot_dir, source_problems)
+                             check_snapshot_dir, source_problems)
 from evogen.runner import PRESET_NAMES, run
 
 from conftest import mix_config, reference_check_repository, reference_feature_state
@@ -101,12 +101,14 @@ def _file_at(repo: model.AssetNode, path: str) -> model.AssetNode:
 
 def _check_against_reference(tree: model.AssetTree, adapter, seen: dict) -> None:
     """List in ``seen["check vs reference"]`` each repository of `tree` whose
-    ``check_repository`` differs from the reference check's."""
+    render ``check_files`` checks otherwise than the reference check."""
     for repo in tree.repositories:
         prefix = f"{repo.name}/"
+        render = _repo_files(repo)
         files = {rel[len(prefix):]: data.decode().splitlines()
-                 for rel, data in _repo_files(repo).items() if data is not None}
-        if check_repository(files, adapter) != reference_check_repository(files, adapter):
+                 for rel, data in render.items() if data is not None}
+        if check_files(render, adapter) != [
+                prefix + problem for problem in reference_check_repository(files, adapter)]:
             seen["check vs reference"].append(repo.name)
 
 

@@ -1,13 +1,17 @@
+import errno
 import json
 import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import evogen
+from evogen import runner
 from evogen.history import LEDGER_KEYS
 
 from conftest import (SPECIAL_ENTRIES, TYPE_TAMPERS, VARIANTS_MIX, invoke,
@@ -97,6 +101,110 @@ class TestGenerate:
             "generate", "--system", str(system), "--out", str(out)])
         assert result.exit_code == 3
         assert "i/o failure" in result.output
+
+    @pytest.mark.parametrize("kind", ["non-empty folder", "file"])
+    def test_out_that_cannot_hold_a_history_truncates_none(self, tmp_path, kind):
+        """Nothing was written, so no history is said to be truncated."""
+        system = write_initial_system(tmp_path / "in")
+        out = tmp_path / "out"
+        if kind == "file":
+            out.write_text("x")
+        else:
+            out.mkdir()
+            (out / "junk").write_text("x")
+        result = invoke(["generate", "--system", str(system), "--out", str(out)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("i/o failure: ")
+        assert "history truncated" not in result.output
+
+    @pytest.mark.parametrize("where", ["seed file", "seed folder", "seed", "donor",
+                                       "donor folder", "donor file"])
+    def test_name_holding_a_hash_exit_two_writing_nothing(self, tmp_path, where):
+        """A "#" ends an asset ref's path: an entry whose name holds one,
+        which would reach a ref, is refused before anything is written."""
+        system = write_initial_system(tmp_path / "in", "ca#lc" if where == "seed" else "calc")
+        donor = write_donor(tmp_path / "donors", "widget")
+        if where == "seed file":
+            entry = "calc/ut#il.mini"
+            (system / "util.mini").rename(system / "ut#il.mini")
+        elif where == "seed folder":
+            entry = "calc/a#b"  # the folder, before the file in it
+            (system / "a#b").mkdir()
+            (system / "a#b" / "x.txt").write_text("notes\n")
+        elif where == "seed":
+            entry = "ca#lc"
+        elif where == "donor":
+            entry = f"name of donor {donor}"
+            manifest = donor / "project.manifest"
+            manifest.write_text(manifest.read_text().replace("name: widget",
+                                                             "name: wid#get"))
+        elif where == "donor folder":
+            entry = "widget/src/l#b/extra.mini"
+            (donor / "src" / "l#b").mkdir()
+            (donor / "src" / "l#b" / "extra.mini").write_text("def extra {\n}\n")
+        else:
+            entry = "widget/src/lib/mod#9.mini"
+            (donor / "src" / "lib" / "mod#9.mini").write_text("def extra {\n}\n")
+        out = tmp_path / "out"
+        result = invoke(["generate", "--preset", "uniform-generators", "--seed", "1",
+                         "--system", str(system), "--donor", str(donor), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"{entry} holds '#', which a ref cannot carry" in result.output
+        assert not out.exists()
+
+    def test_seed_name_holding_a_bang_exit_two_writing_nothing(self, tmp_path):
+        """A "!" ends a feature ref's repository path."""
+        system = write_initial_system(tmp_path / "in", "ca!lc")
+        out = tmp_path / "out"
+        result = invoke(["generate", "--preset", "uniform-generators",
+                         "--system", str(system), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert ("invalid initial system: repository name ca!lc holds '!',"
+                " which a ref cannot carry") in result.output
+        assert not out.exists()
+
+    def test_write_failure_truncates_the_history(self, tmp_path, monkeypatch):
+        """An I/O failure after revision 0 ends generate with exit 3 and a
+        ``Truncated`` marker; validate, stats and replay each report the
+        marker at its record, and none ends in a traceback."""
+        real_write_snapshot = runner.write_snapshot
+
+        def write_snapshot(tree, revision, out_dir, *args):
+            if revision == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write_snapshot(tree, revision, out_dir, *args)
+
+        monkeypatch.setattr(runner, "write_snapshot", write_snapshot)
+        result, out = generate_history(tmp_path)
+        monkeypatch.undo()
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert f"i/o failure: history truncated: {reason}" in result.output
+        lines = (out / "ledger.ndjson").read_text().splitlines()
+        marker = json.loads(lines[-1])
+        assert len(lines) == 4  # revisions 1 to 3, then the marker
+        assert marker == {"schema": 1, "kind": "Truncated", "reason": reason}
+        schema = json.loads(resources.files("evogen").joinpath(
+            "schemas/ledger.schema.json").read_text())
+        jsonschema.Draft7Validator(schema).validate(marker)
+        assert not (out / "run.json").exists()
+
+        message = f"replay diverged at record 3: history truncated: {reason}"
+        validate = invoke(["validate", str(out)])
+        violations = json.loads((out / "validation.json").read_text())["violations"]
+        assert validate.exit_code == 1
+        assert violations == [{"kind": "ledger", "where": "ledger.ndjson",
+                               "message": message}]
+        stats, replay = (invoke([command, str(out)]) for command in ("stats", "replay"))
+        assert (stats.exit_code, replay.exit_code) == (4, 1)
+        for command in (validate, stats, replay):
+            assert isinstance(command.exception, SystemExit)
+        for command in (stats, replay):
+            assert command.output.rstrip("\n").endswith(message)
 
     def test_same_seed_byte_identical_dirs(self, tmp_path):
         result_a, out_a = generate_history(tmp_path, "a", seed=9)

@@ -4,12 +4,11 @@ import pytest
 
 from evogen.errors import ManifestParseError, SnapshotIoError
 from evogen.history import _read_snapshot, materialize_tree, parse_snapshot
-from evogen.minilang import (MinilangAdapter, check_files, check_repository,
-                             check_snapshot_dir, check_tree)
+from evogen.minilang import MinilangAdapter, check_files, check_snapshot_dir, check_tree
 from evogen.model import AssetTree, ManifestModel
 
 from conftest import (build_repo, random_repository, reference_check_repository,
-                      write_initial_system)
+                      repository_snapshot, write_initial_system)
 
 
 @pytest.fixture
@@ -46,6 +45,11 @@ class TestScanTests:
         assert (c.marker_line, c.body_start, c.body_end) == (1, 2, 4)
         assert c.imports == ["import lib.a"]
         assert c.modular
+
+    def test_name_holding_a_slash_is_no_candidate(self, mini):
+        # the name becomes a feature's, which a "/" would split in a feature ref
+        lines = ["@test", "test grp/case2 {", "body", "}", "@test", "test case3 {", "}"]
+        assert [c.name for c in mini.scan_tests("t.mini", lines)] == ["case3"]
 
     def test_unmarked_block_ignored(self, mini):
         assert mini.scan_tests("t.mini", ["test t1 {", "}"]) == []
@@ -212,10 +216,10 @@ class TestListing:
     def test_listing_disk_and_tree_agree(self, tmp_path, mini, case):
         files, expected = LISTING_CASES[case]
         listing = {rel: text.splitlines() for rel, text in files.items()}
-        assert check_repository(listing, mini) == expected
+        in_repo = [f"r/{p}" for p in expected]
+        assert check_files(repository_snapshot(listing), mini) == in_repo
         assert reference_check_repository(listing, mini) == expected
         _write(tmp_path / "r", files)
-        in_repo = [f"r/{p}" for p in expected]
         assert check_snapshot_dir(tmp_path, mini) == in_repo
         assert check_tree(parse_snapshot(tmp_path), mini) == in_repo
 
@@ -299,6 +303,13 @@ class TestCheckerFixes:
             with pytest.raises(SnapshotIoError, match=message):
                 feed()
 
+    def test_root_manifest_that_does_not_parse_is_the_one_problem_beside_a_non_utf8_source(
+            self, tmp_path, mini):
+        # the check reads no source of such a repository, on disk as in memory
+        _write(tmp_path / "r", {"project.manifest": "oops\n"})
+        (tmp_path / "r" / "a.mini").write_bytes(b"\xff\n")
+        assert check_snapshot_dir(tmp_path, mini) == ["r/project.manifest: line 0: 'oops'"]
+
     def test_problem_in_a_file_named_like_its_repository_names_the_repository(
             self, tmp_path, mini):
         _write(tmp_path / "lib", {"library.mini": "def f {\n"})
@@ -308,15 +319,17 @@ class TestCheckerFixes:
 
 
 class TestCheckRepositoryOracle:
-    """``check_repository`` equals ``reference_check_listing``, the check as
-    first written over tuple paths, on seeded random repositories."""
+    """``check_files`` on a one-repository map equals
+    ``reference_check_listing``, the check as first written over tuple
+    paths, on seeded random repositories."""
 
     def test_equals_the_reference_on_random_repositories(self, mini):
         kinds, ordered = set(), 0
         for seed in range(400):
             files = random_repository(random.Random(seed))
-            problems = check_repository(files, mini)
-            assert problems == reference_check_repository(files, mini), seed
+            problems = reference_check_repository(files, mini)
+            assert check_files(repository_snapshot(files), mini) == [
+                f"r/{p}" for p in problems], seed
             kinds.update(self._kind(p) for p in problems)
             ordered += len(set(problems)) > 1
         # every kind of problem shows, and many lists fix an order of
