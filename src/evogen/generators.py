@@ -10,13 +10,12 @@ draw; the runner counts both as a retry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import model
 from .errors import EvogenError
 from .history import _repo_files
-from .model import FILE, MANIFEST_NAME, AssetNode, AssetTree, DonorProject
+from .model import FILE, MANIFEST_NAME, AssetNode, AssetTree, DonorProject, Value
 from .operations import ADD_LINE, DELETE_LINE, REPLACE_LINE
 from .refs import AssetRef, make_asset_ref, make_feature_ref, resolve_asset_ref
 from .transplant import extract_organ, legal_insertion_points
@@ -25,21 +24,23 @@ GENERATOR_IDS = ("removeFeature", "mutAdd", "mutReplace", "mutDelete",
                  "transplant", "cloneVariant", "cloneFeature")
 
 
-@dataclass
-class CandidateOperation:
-    kind: str
-    params: dict
+class CandidateOperation(Value):
+    def __init__(self, kind: str, params: dict) -> None:
+        self.kind = kind
+        self.params = params
 
 
-@dataclass
 class GenContext:
-    adapter: object
-    sensibility_discard_prob: float = 0.5
-    #: the donor projects of the run by id; read only
-    donors: dict[str, DonorProject] = field(default_factory=dict)
-    #: (donor id, test id) pairs already drawn; ``gen_transplant`` adds each
-    #: test whose draw gets past the insertion point, committed or not
-    consumed: set[tuple[str, str]] = field(default_factory=set)
+    def __init__(self, adapter: object, sensibility_discard_prob: float = 0.5,
+                 donors: Optional[dict[str, DonorProject]] = None,
+                 consumed: Optional[set[tuple[str, str]]] = None) -> None:
+        self.adapter = adapter
+        self.sensibility_discard_prob = sensibility_discard_prob
+        #: the donor projects of the run by id; read only
+        self.donors = {} if donors is None else donors
+        #: (donor id, test id) pairs already drawn; ``gen_transplant`` adds each
+        #: test whose draw gets past the insertion point, committed or not
+        self.consumed = set() if consumed is None else consumed
 
 
 # -- the seven generators ----------------------------------------------------

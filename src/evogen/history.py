@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -339,10 +338,9 @@ def feature_state(tree: AssetTree) -> bytes:
 
 
 def write_feature_state(tree: AssetTree, out_dir: Path) -> None:
-    """Write ``features/NNNN.json``."""
-    features_dir = Path(out_dir) / "features"
-    features_dir.mkdir(parents=True, exist_ok=True)
-    (features_dir / f"{tree.revision:04d}.json").write_bytes(feature_state(tree))
+    """Write ``features/NNNN.json`` into the existing ``features/`` folder."""
+    (Path(out_dir) / "features" / f"{tree.revision:04d}.json").write_bytes(
+        feature_state(tree))
 
 
 def _read_ndjson(path: Path, what: str) -> list[dict]:
@@ -387,20 +385,33 @@ def _shape_problem(record: dict, where: str = "") -> Optional[str]:
     return None
 
 
-def read_ledger(out_dir: Path) -> list[dict]:
-    """The ledger's records, in commit order.  Raises ReplayDivergence at the
-    ``Truncated`` marker of a run that stopped on an I/O failure, else at the
-    first line that does not parse, lacks one of LEDGER_KEYS or is not of
-    the shape ``_shape_problem`` requires."""
+def _ledger_prefix(out_dir: Path) -> tuple[list[dict], Optional[ReplayDivergence]]:
+    """The ledger's records in commit order, up to the ``Truncated`` marker
+    of a run that stopped on an I/O failure, and the divergence naming that
+    marker, or None when the ledger has none.  Raises ReplayDivergence at
+    the first line before the marker that does not parse, lacks one of
+    LEDGER_KEYS or is not of the shape ``_shape_problem`` requires."""
     records = _read_ndjson(Path(out_dir) / "ledger.ndjson", "ledger")
+    truncated = None
     for i, record in enumerate(records):
         if isinstance(record, dict) and record.get("kind") == "Truncated":
-            raise ReplayDivergence(i, f"history truncated: {record.get('reason')}")
+            truncated = ReplayDivergence(i, f"history truncated: {record.get('reason')}")
+            records = records[:i]
+            break
     _require_keys(records, LEDGER_KEYS, "ledger")
     for i, record in enumerate(records):
         problem = _shape_problem(record)
         if problem:
             raise ReplayDivergence(i, f"ledger line {problem}")
+    return records, truncated
+
+
+def read_ledger(out_dir: Path) -> list[dict]:
+    """The ledger's records, in commit order; raises ReplayDivergence where
+    ``_ledger_prefix`` does, and at a ``Truncated`` marker."""
+    records, truncated = _ledger_prefix(out_dir)
+    if truncated is not None:
+        raise truncated
     return records
 
 
@@ -448,9 +459,9 @@ def replay_history(out_dir: Path, adapter) -> Iterator[tuple[int, AssetTree]]:
 
 # -- validation --------------------------------------------------------------
 
-@dataclass
 class ValidationReport:
-    violations: list[dict] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.violations: list[dict] = []
 
     @property
     def ok(self) -> bool:
@@ -467,7 +478,9 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
     """Cross-check a generated history in one replay pass: each ledger
     record against its replay, each snapshot and feature state against the
     replayed tree, each snapshot's compilability, and the stored traces
-    against the replayed ones."""
+    against the replayed ones.  A truncated history is reported as such,
+    and the revisions committed before its ``Truncated`` marker are checked
+    as those of a whole one."""
     from .minilang import check_snapshot_dir
     out_dir = Path(out_dir)
     report = ValidationReport()
@@ -486,10 +499,12 @@ def validate_history(out_dir: Path, adapter) -> ValidationReport:
         return report
 
     try:
-        records = read_ledger(out_dir)
+        records, truncated = _ledger_prefix(out_dir)
     except ReplayDivergence as exc:
         report.add("ledger", "ledger.ndjson", str(exc))
         return report
+    if truncated is not None:
+        report.add("ledger", "ledger.ndjson", str(truncated))
     # a torn tail: what a run wrote past its last ledger record
     for snap in snapshots[len(records) + 1:]:
         report.add("layout", snap.name, "no ledger record")

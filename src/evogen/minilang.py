@@ -23,14 +23,13 @@ repository of a disk snapshot (``check_files``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Collection, Optional
 
 from .errors import ManifestParseError, utf8_text
 from .history import Snapshot, _read_snapshot, _repo_files
-from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate
+from .model import MANIFEST_NAME, AssetTree, ManifestModel, TestCandidate, Value
 
 SOURCE_SUFFIX = ".mini"
 
@@ -202,19 +201,22 @@ def _subdir(entry: str) -> Optional[str]:
     return "".join(p + "/" for p in parts)
 
 
-@dataclass(frozen=True)
-class CheckContext:
+class CheckContext(Value):
     """What a repository's manifests and source paths tell its check: the
     manifests' problems, the externals they list, the slice and host module
     sets, and each source path with whether it lies in a slice, in check
     order.  A root manifest that does not parse is the only problem, and
     leaves no source to check."""
 
-    problems: tuple[str, ...]
-    externals: frozenset[str] = frozenset()
-    slice_modules: frozenset[str] = frozenset()
-    host_modules: frozenset[str] = frozenset()
-    sources: tuple[tuple[str, bool], ...] = ()
+    def __init__(self, problems: tuple[str, ...], externals: frozenset[str] = frozenset(),
+                 slice_modules: frozenset[str] = frozenset(),
+                 host_modules: frozenset[str] = frozenset(),
+                 sources: tuple[tuple[str, bool], ...] = ()) -> None:
+        self.problems = problems
+        self.externals = externals
+        self.slice_modules = slice_modules
+        self.host_modules = host_modules
+        self.sources = sources
 
 
 def check_context(paths: Collection[str], read: Callable[[str], list[str]],

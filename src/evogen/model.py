@@ -10,7 +10,6 @@ nodes and assets map to features by name path within their repository's model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
@@ -30,13 +29,30 @@ FS_KINDS = frozenset({ROOT, REPOSITORY, FOLDER, FILE})
 MANIFEST_NAME = "project.manifest"
 
 
-@dataclass
+class Value:
+    """A value type: it equals an instance of its class whose attributes
+    are equal, and hashes and prints as its attributes.  Trees, features
+    and records are no value types: they compare by identity."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
 class Feature:
     """One node of a feature hierarchy; sibling names are unique."""
 
-    name: str
-    origin: str = ""
-    children: list["Feature"] = field(default_factory=list)
+    def __init__(self, name: str, origin: str = "",
+                 children: Optional[list["Feature"]] = None) -> None:
+        self.name = name
+        self.origin = origin
+        self.children = [] if children is None else children
 
     def copy(self) -> "Feature":
         return Feature(self.name, self.origin, [c.copy() for c in self.children])
@@ -53,9 +69,9 @@ class Feature:
         return None
 
 
-@dataclass
 class FeatureModel:
-    root: Feature
+    def __init__(self, root: Feature) -> None:
+        self.root = root
 
     def copy(self) -> "FeatureModel":
         return FeatureModel(self.root.copy())
@@ -106,23 +122,27 @@ class FeatureModel:
         return target
 
 
-@dataclass
 class AssetNode:
-    kind: str
-    name: str
-    node_id: int
-    content: Optional[list[str]] = None
-    children: list["AssetNode"] = field(default_factory=list)
-    mapped_features: set[tuple[str, ...]] = field(default_factory=set)
-    feature_model: Optional[FeatureModel] = None
-    #: values computed from a repository's subtree and kept on its node:
-    #: ``files`` (its render), ``context`` and ``sources`` (what its
-    #: manifests and source paths tell the check, and each source's
-    #: problems), ``problems`` and ``fragment`` (its feature-state text).
-    #: ``edited`` names the files whose entries of ``files`` an edit made
-    #: stale.  ``_copy_node`` keeps none of them; ``AssetTree.own`` keeps
-    #: those that ``_carried`` says the change leaves valid
-    derived: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, kind: str, name: str, node_id: int,
+                 content: Optional[list[str]] = None,
+                 children: Optional[list["AssetNode"]] = None,
+                 mapped_features: Optional[set[tuple[str, ...]]] = None,
+                 feature_model: Optional[FeatureModel] = None) -> None:
+        self.kind = kind
+        self.name = name
+        self.node_id = node_id
+        self.content = content
+        self.children = [] if children is None else children
+        self.mapped_features = set() if mapped_features is None else mapped_features
+        self.feature_model = feature_model
+        #: values computed from a repository's subtree and kept on its node:
+        #: ``files`` (its render), ``context`` and ``sources`` (what its
+        #: manifests and source paths tell the check, and each source's
+        #: problems), ``problems`` and ``fragment`` (its feature-state text).
+        #: ``edited`` names the files whose entries of ``files`` an edit made
+        #: stale.  ``_copy_node`` keeps none of them; ``AssetTree.own`` keeps
+        #: those that ``_carried`` says the change leaves valid
+        self.derived: dict = {}
 
     def iter_nodes(self) -> Iterator["AssetNode"]:
         yield self
@@ -249,13 +269,14 @@ def nonroot_features(tree: "AssetTree") -> Iterator[tuple[AssetNode, Feature]]:
 
 # -- clone traces ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CloneTrace:
-    op_id: str
-    source_ref: str
-    target_ref: str
-    source_node: int
-    target_node: int
+class CloneTrace(Value):
+    def __init__(self, op_id: str, source_ref: str, target_ref: str,
+                 source_node: int, target_node: int) -> None:
+        self.op_id = op_id
+        self.source_ref = source_ref
+        self.target_ref = target_ref
+        self.source_node = source_node
+        self.target_node = target_node
 
 
 class TraceDb:
@@ -304,45 +325,53 @@ class TraceDb:
 
 # -- donors ------------------------------------------------------------------
 
-@dataclass
-class ManifestModel:
+class ManifestModel(Value):
     """Build-file abstraction: a name, external deps, local slice dirs and
     any adapter-specific extras (dropped by adaptation)."""
 
-    name: str
-    deps: list[str] = field(default_factory=list)
-    slices: list[str] = field(default_factory=list)
-    extras: dict[str, str] = field(default_factory=dict)
+    def __init__(self, name: str, deps: Optional[list[str]] = None,
+                 slices: Optional[list[str]] = None,
+                 extras: Optional[dict[str, str]] = None) -> None:
+        self.name = name
+        self.deps = [] if deps is None else deps
+        self.slices = [] if slices is None else slices
+        self.extras = {} if extras is None else extras
 
 
-@dataclass
-class TestCandidate:
-    id: str
-    file: str  # donor-relative path of the defining file
-    name: str
-    marker_line: int
-    body_start: int
-    body_end: int  # inclusive
-    imports: list[str]
-    modular: bool
+class TestCandidate(Value):
+    def __init__(self, id: str, file: str, name: str, marker_line: int,
+                 body_start: int, body_end: int, imports: list[str],
+                 modular: bool) -> None:
+        self.id = id
+        self.file = file  # donor-relative path of the defining file
+        self.name = name
+        self.marker_line = marker_line
+        self.body_start = body_start
+        self.body_end = body_end  # inclusive
+        self.imports = imports
+        self.modular = modular
 
 
-@dataclass
-class DonorProject:
+class DonorProject(Value):
     """External project features are transplanted from.
 
     A donor holds only its scan products, which never change during a run:
     it is an input of the transplant draw, not a part of the tree.
     """
 
-    id: str
-    manifest: ManifestModel
-    files: dict[str, tuple[str, ...]]
-    test_candidates: list[TestCandidate]
-    #: module name -> donor path of its source file
-    modules: dict[str, str]
-    module_deps: dict[str, frozenset[str]]
-    external_uses: dict[str, frozenset[str]]
+    def __init__(self, id: str, manifest: ManifestModel,
+                 files: dict[str, tuple[str, ...]],
+                 test_candidates: list[TestCandidate], modules: dict[str, str],
+                 module_deps: dict[str, frozenset[str]],
+                 external_uses: dict[str, frozenset[str]]) -> None:
+        self.id = id
+        self.manifest = manifest
+        self.files = files
+        self.test_candidates = test_candidates
+        #: module name -> donor path of its source file
+        self.modules = modules
+        self.module_deps = module_deps
+        self.external_uses = external_uses
 
     def candidate(self, test_id: str) -> Optional[TestCandidate]:
         for c in self.test_candidates:

@@ -7,7 +7,6 @@ high-level operator are recorded as nested sub-operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import model
@@ -28,14 +27,15 @@ MUTATION_KINDS = (ADD_LINE, REPLACE_LINE, DELETE_LINE)
 SLICES_DIR = "slices"
 
 
-@dataclass
 class OperationRecord:
-    op_id: str
-    kind: str
-    params: dict
-    revision_before: int
-    revision_after: int
-    sub_ops: list["OperationRecord"] = field(default_factory=list)
+    def __init__(self, op_id: str, kind: str, params: dict, revision_before: int,
+                 revision_after: int) -> None:
+        self.op_id = op_id
+        self.kind = kind
+        self.params = params
+        self.revision_before = revision_before
+        self.revision_after = revision_after
+        self.sub_ops: list[OperationRecord] = []
 
     def add_sub(self, kind: str, params: dict) -> "OperationRecord":
         sub = OperationRecord(f"{self.op_id}.{len(self.sub_ops)}", kind, params,
@@ -402,15 +402,15 @@ def execute(tree: AssetTree, kind: str, params: dict, op_id: str,
     return handlers[kind](tree, params, op_id, adapter=adapter)
 
 
-@dataclass
 class Committed:
-    record: OperationRecord
-    tree: AssetTree
+    def __init__(self, record: OperationRecord, tree: AssetTree) -> None:
+        self.record = record
+        self.tree = tree
 
 
-@dataclass
 class RolledBack:
-    reason: str
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
 
 
 def run_in_transaction(tree: AssetTree, kind: str, params: dict, op_id: str,

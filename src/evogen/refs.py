@@ -8,18 +8,18 @@ Textual forms (these exact strings appear in the ledger):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .errors import DanglingRef, EvogenError, NotInTree, StaleRef, UnknownFeature
-from .model import FS_KINDS, AssetNode, AssetTree, Feature, FeatureModel
+from .model import FS_KINDS, AssetNode, AssetTree, Feature, FeatureModel, Value
 
 
-@dataclass(frozen=True)
-class AssetRef:
-    revision: int
-    fs_path: str  # forward-slash path from the synthetic root; root is "/"
-    index_path: tuple[int, ...] = ()
+class AssetRef(Value):
+    def __init__(self, revision: int, fs_path: str,
+                 index_path: tuple[int, ...] = ()) -> None:
+        self.revision = revision
+        self.fs_path = fs_path  # forward-slash path from the synthetic root; root is "/"
+        self.index_path = index_path
 
     def to_text(self) -> str:
         text = f"{self.revision}:{self.fs_path}"
@@ -38,10 +38,10 @@ class AssetRef:
         return AssetRef(revision, self.fs_path, self.index_path)
 
 
-@dataclass(frozen=True)
-class FeatureRef:
-    repo_path: str
-    lpq: tuple[str, ...]
+class FeatureRef(Value):
+    def __init__(self, repo_path: str, lpq: tuple[str, ...]) -> None:
+        self.repo_path = repo_path
+        self.lpq = lpq
 
     def to_text(self) -> str:
         return f"{self.repo_path}!{'/'.join(self.lpq)}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -26,7 +25,7 @@ from .history import (append_ledger, append_traces, parse_initial_system,
 # runner.check_snapshot_dir, so the binding stays until the benchmark drops it
 from .minilang import (MinilangAdapter, check_snapshot_dir,  # noqa: F401
                        check_tree)
-from .model import AssetTree
+from .model import AssetTree, Value
 from .operations import Committed, mint_op_id, run_in_transaction
 from .transplant import load_donor
 
@@ -37,18 +36,23 @@ TERMINATION_METRICS = ("distinctFeatureCount", "totalFeatureCount",
                        "totalLoc", "repositoryCount")
 
 
-@dataclass
-class RunConfig:
-    max_iterations: int = 200
-    termination: Optional[str] = None
-    generators: tuple[str, ...] = GENERATOR_IDS
-    distribution: Optional[dict[str, float]] = None  # None = uniform
-    max_retries: int = 50
-    checker_kind: str = BUNDLED_CHECKER
-    checker_cmd: Optional[str] = None
-    checker_timeout_s: float = 60.0
-    seed: int = 0
-    sensibility_discard_prob: float = 0.5
+class RunConfig(Value):
+    def __init__(self, max_iterations: int = 200, termination: Optional[str] = None,
+                 generators: tuple[str, ...] = GENERATOR_IDS,
+                 distribution: Optional[dict[str, float]] = None,
+                 max_retries: int = 50, checker_kind: str = BUNDLED_CHECKER,
+                 checker_cmd: Optional[str] = None, checker_timeout_s: float = 60.0,
+                 seed: int = 0, sensibility_discard_prob: float = 0.5) -> None:
+        self.max_iterations = max_iterations
+        self.termination = termination
+        self.generators = generators
+        self.distribution = distribution  # None = uniform
+        self.max_retries = max_retries
+        self.checker_kind = checker_kind
+        self.checker_cmd = checker_cmd
+        self.checker_timeout_s = checker_timeout_s
+        self.seed = seed
+        self.sensibility_discard_prob = sensibility_discard_prob
 
     def resolved_distribution(self) -> dict[str, float]:
         if self.distribution is None:
@@ -242,14 +246,14 @@ def parse_termination(spec: Optional[str]) -> Optional[Callable[[AssetTree], boo
 
 # -- the loop ----------------------------------------------------------------
 
-@dataclass
 class RunSummary:
-    iterations_run: int = 0
-    committed: dict[str, int] = field(default_factory=dict)
-    rolled_back: dict[str, int] = field(default_factory=dict)
-    skipped: dict[str, int] = field(default_factory=dict)
-    final_revision: int = 0
-    terminated_early: bool = False
+    def __init__(self) -> None:
+        self.iterations_run = 0
+        self.committed: dict[str, int] = {}
+        self.rolled_back: dict[str, int] = {}
+        self.skipped: dict[str, int] = {}
+        self.final_revision = 0
+        self.terminated_early = False
 
     @property
     def committed_total(self) -> int:
@@ -302,6 +306,7 @@ def run(config: RunConfig, system_path: Path, donor_paths: list[Path],
     if problems:
         raise InvalidInitialSystem("; ".join(problems))
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "features").mkdir()
     rendered = write_snapshot(tree, 0, out_dir)
     write_feature_state(tree, out_dir)
     debug_path = out_dir / "debug.log"

@@ -11,7 +11,6 @@ introducing operation; the lineage tag travels with every feature copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EvogenError
@@ -50,13 +49,14 @@ def tree_metric(tree: AssetTree, name: str) -> int:
     raise EvogenError(f"unknown metric {name!r}")
 
 
-@dataclass
 class MetricRow:
-    revision: int
-    distinct_features: int
-    total_features: int
-    repository_count: int
-    loc_per_variant: dict[str, int]
+    def __init__(self, revision: int, distinct_features: int, total_features: int,
+                 repository_count: int, loc_per_variant: dict[str, int]) -> None:
+        self.revision = revision
+        self.distinct_features = distinct_features
+        self.total_features = total_features
+        self.repository_count = repository_count
+        self.loc_per_variant = loc_per_variant
 
     @property
     def total_loc(self) -> int:

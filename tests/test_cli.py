@@ -32,6 +32,22 @@ def generate_history(tmp_path, out_name="out", seed=3, extra=()):
     return result, out
 
 
+def truncated_history(tmp_path, monkeypatch):
+    """``generate_history`` with the write of revision 4's snapshot failing
+    for want of space: revisions 0 to 3 are committed."""
+    real_write_snapshot = runner.write_snapshot
+
+    def write_snapshot(tree, revision, out_dir, *args):
+        if revision == 4:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write_snapshot(tree, revision, out_dir, *args)
+
+    monkeypatch.setattr(runner, "write_snapshot", write_snapshot)
+    result, out = generate_history(tmp_path)
+    monkeypatch.undo()
+    return result, out
+
+
 class TestGenerate:
     def test_success_exit_zero(self, tmp_path):
         result, out = generate_history(tmp_path)
@@ -170,16 +186,7 @@ class TestGenerate:
         """An I/O failure after revision 0 ends generate with exit 3 and a
         ``Truncated`` marker; validate, stats and replay each report the
         marker at its record, and none ends in a traceback."""
-        real_write_snapshot = runner.write_snapshot
-
-        def write_snapshot(tree, revision, out_dir, *args):
-            if revision == 4:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_write_snapshot(tree, revision, out_dir, *args)
-
-        monkeypatch.setattr(runner, "write_snapshot", write_snapshot)
-        result, out = generate_history(tmp_path)
-        monkeypatch.undo()
+        result, out = truncated_history(tmp_path, monkeypatch)
         reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
@@ -205,6 +212,25 @@ class TestGenerate:
             assert isinstance(command.exception, SystemExit)
         for command in (stats, replay):
             assert command.output.rstrip("\n").endswith(message)
+
+    def test_validate_checks_what_a_truncated_history_committed(self, tmp_path,
+                                                                monkeypatch):
+        """Validate replays the records before the ``Truncated`` marker, so
+        a changed byte in a committed snapshot is found beside the marker."""
+        _, out = truncated_history(tmp_path, monkeypatch)
+        # unlinked first: an unchanged file is a hard link to revision 1's
+        changed = sorted((out / "revisions" / "0002").rglob("*.mini"))[0]
+        data = changed.read_bytes()
+        changed.unlink()
+        changed.write_bytes(data.replace(b"\n", b" \n", 1))
+        assert invoke(["validate", str(out)]).exit_code == 1
+        violations = json.loads((out / "validation.json").read_text())["violations"]
+        assert violations[0]["kind"] == "ledger"
+        assert violations[0]["message"].endswith("history truncated: [Errno"
+                                                 f" {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        assert {"kind": "replay-fidelity", "where": "0002",
+                "message": "replayed state differs from stored snapshot"} in violations
+        assert all(v["where"] == "0002" for v in violations[1:])
 
     def test_same_seed_byte_identical_dirs(self, tmp_path):
         result_a, out_a = generate_history(tmp_path, "a", seed=9)

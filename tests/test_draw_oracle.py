@@ -16,7 +16,6 @@ each must equal a reference that walks nodes, flattens files and searches
 the tree, and with the walks and searches made to raise, each still answers.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -168,7 +167,8 @@ def _reference_outcome(tree, rng, ctx):
     copies of the rng and of the consumed set."""
     twin = random.Random()
     twin.setstate(rng.getstate())
-    twin_ctx = dataclasses.replace(ctx, consumed=set(ctx.consumed))
+    twin_ctx = GenContext(ctx.adapter, ctx.sensibility_discard_prob, ctx.donors,
+                          set(ctx.consumed))
     return reference_transplant(tree, twin, twin_ctx), twin.getstate(), twin_ctx.consumed
 
 

@@ -518,6 +518,7 @@ class TestFeatureStateBytes:
 
     def test_no_repositories(self, tmp_path):
         tree = AssetTree()
+        (tmp_path / "features").mkdir()
         write_feature_state(tree, tmp_path)
         assert (tmp_path / "features" / "0000.json").read_bytes() == \
             reference_feature_state(tree)
@@ -533,6 +534,7 @@ class TestFeatureStateBytes:
             for node, chosen in zip(repo.iter_nodes(), (names[:2], names[2:], names)):
                 node.mapped_features = {(repo.name, n) for n in chosen}
         tree.revision = 3
+        (tmp_path / "features").mkdir()
 
         def check(tree):
             write_feature_state(tree, tmp_path)

@@ -7,9 +7,9 @@ from evogen.errors import EvogenError, SelfTrace, UnknownFeature
 from evogen.generators import GENERATOR_IDS, GenContext, generate
 from evogen.history import _tree_files, parse_initial_system
 from evogen.minilang import MinilangAdapter
-from evogen.model import AssetTree, CloneTrace, Feature, FILE, flatten_lines
+from evogen.model import AssetNode, AssetTree, CloneTrace, Feature, FILE, flatten_lines
 from evogen.operations import apply_remove_feature, execute
-from evogen.refs import make_asset_ref
+from evogen.refs import AssetRef, FeatureRef, make_asset_ref
 from evogen.transplant import load_donor
 
 from conftest import (build_repo, random_fs_tree, reference_feature_state,
@@ -25,6 +25,31 @@ def mapped(repo, path, *features):
         node = node.child_named(part)
     node.mapped_features.update(features)
     return node
+
+
+class TestEquality:
+    """Refs and traces are values; tree nodes compare by identity, so no
+    ``in`` or ``index`` over the tree compares whole subtrees."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: AssetRef(3, "/r/a.mini", (0, 2)),
+        lambda: FeatureRef("/r", ("A", "X")),
+        lambda: CloneTrace("op1", "0:/a", "0:/b", 1, 2)])
+    def test_equal_values_are_equal_and_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_values_of_other_fields_or_types_differ(self):
+        assert AssetRef(3, "/r/a.mini") != AssetRef(4, "/r/a.mini")
+        assert CloneTrace("op1", "0:/a", "0:/b", 1, 2) != CloneTrace("op1", "0:/a", "0:/b", 1, 3)
+        assert FeatureRef("/r", ("A",)) != ("/r", ("A",))
+        assert repr(AssetRef(3, "/r")) == "AssetRef(revision=3, fs_path='/r', index_path=())"
+
+    def test_nodes_with_identical_fields_are_unequal_and_hashable(self):
+        a, b = (AssetNode(FILE, "a.mini", 7, ["x"]) for _ in range(2))
+        assert a != b and a == a
+        assert len({a, b}) == 2
 
 
 class TestFeatureExclusiveAssets:

@@ -35,6 +35,9 @@ finally:
         fh.write("\\n".join(sorted(sys.modules)))
 """
 
+#: ``dataclasses`` and what it loads; no command builds a class through it
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
 #: loaded by no command that only reads a history
 NOT_FOR_READING = {"evogen.runner", "evogen.generators", "subprocess", "tempfile", "click"}
 
@@ -88,3 +91,13 @@ def test_bundled_checker_generate_starts_no_process(history):
     _, modules = history
     assert "evogen.runner" in modules
     assert modules & {"subprocess", "tempfile", "click"} == set()
+
+
+@pytest.mark.parametrize("command", ["--help", "generate", "stats", "validate", "replay"])
+def test_no_command_loads_dataclasses(history, tmp_path, command):
+    out, modules = history
+    if command == "--help":
+        modules = loaded_modules(tmp_path / "modules.txt", command)
+    elif command != "generate":
+        modules = loaded_modules(tmp_path / "modules.txt", command, str(out))
+    assert modules & DATACLASS_MODULES == set()
